@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -10,6 +11,7 @@
 
 #include "chaos/runner.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "sim/condition.hpp"
@@ -151,6 +153,37 @@ MixResult runWakeupHeavy(int processes, int rounds) {
   simulator.run();
   return finishMix("wakeup_heavy", simulator.eventsExecuted(),
                    simulator.eventsExecuted(), start);
+}
+
+MixResult runObsRecord(int records) {
+  // One pass with the runtime switch on, one with it off: the off pass is
+  // the cost every instrumented hot path pays when nobody observes.
+  const auto calls = 3 * static_cast<std::uint64_t>(records);
+  const auto start = Clock::now();
+  for (const bool enabled : {true, false}) {
+    obs::MetricsRegistry metrics;
+    metrics.setEnabled(enabled);
+    auto& counter = metrics.counter("perf.counter");
+    auto& histogram = metrics.histogram("perf.histogram");
+    obs::TraceBuffer trace(4096);
+    trace.setEnabled(enabled);
+    for (int i = 0; i < records; ++i) {
+      counter.inc();
+      histogram.record(static_cast<double>(i));
+      trace.record("perf", "event", static_cast<std::uint64_t>(i), 1.0);
+    }
+    const auto landed = counter.value() + histogram.count() +
+                        trace.events().size() + trace.droppedEvents();
+    const auto want = enabled && obs::kCompiledIn ? calls : 0;
+    if (landed != want) {
+      std::fprintf(stderr, "perf mix invariant failed: obs_record pass "
+                           "enabled=%d recorded %llu calls, want %llu\n",
+                   enabled ? 1 : 0, static_cast<unsigned long long>(landed),
+                   static_cast<unsigned long long>(want));
+      std::abort();
+    }
+  }
+  return finishMix("obs_record", 2 * calls, /*events_executed=*/0, start);
 }
 
 WallResult runScenarioWall(const std::string& scenario) {

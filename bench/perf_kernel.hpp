@@ -10,6 +10,9 @@
 //                     RTO/delayed-ack churn pattern from src/tcp/
 //   wakeup-heavy    — coroutine processes ping-ponging on delay() and
 //                     Condition wakeups (MPI ranks, QoS agents)
+//   obs-record      — counter increments, histogram records and trace
+//                     records with the obs runtime switch on and off
+//                     (every instrumented layer pays these per event)
 // "Operations" counts pushes + cancels + executed events, so a mix's
 // throughput is comparable before and after a kernel change even though
 // cancelled events never run.
@@ -56,6 +59,12 @@ MixResult runCancelHeavy(int timers, int steps);
 /// `processes` coroutines alternating delay() sleeps with Condition
 /// ping-pong wakeups for `rounds` rounds each.
 MixResult runWakeupHeavy(int processes, int rounds);
+
+/// `records` counter.inc() + histogram.record() + trace.record() calls
+/// with the registry and trace buffer enabled, then the same with both
+/// disabled. Operations count every call (6 x records); aborts when an
+/// enabled call was not recorded or a disabled one was.
+MixResult runObsRecord(int records);
 
 /// Wall time of one full catalog scenario run (e.g. "fig9_combined").
 /// `ok` is false when the name is unknown.

@@ -1,4 +1,4 @@
-// Spec factories for the paper's experiments. The benches build their
+// Spec factories for the paper's experiments. The paper suites build their
 // sweeps from these (varying reservation/message/frame parameters); the
 // registry names the canonical instances for the mgq_scenarios CLI.
 #pragma once

@@ -142,6 +142,8 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
       return true;
     }
     if (auto* o = std::get_if<OfferedLoadTcpWorkload>(&spec.workload)) {
+      // A stop time pinned to the workload length moves with it.
+      if (spec.run_until_seconds == o->seconds) spec.run_until_seconds = value;
       o->seconds = value;
       return true;
     }

@@ -4,8 +4,11 @@
 // sweep matches serial execution exactly).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "obs/export.hpp"
 #include "scenario/builder.hpp"
@@ -15,6 +18,10 @@
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
+
+#ifndef MGQ_PAPER_SUITES
+#error "MGQ_PAPER_SUITES must list the paper suites, comma-separated"
+#endif
 
 namespace mgq::scenario {
 namespace {
@@ -93,6 +100,54 @@ TEST(ScenarioRegistry, PaperRegistryLookup) {
   EXPECT_EQ(faults[0]->name, "fault_recovery_crash");
   EXPECT_EQ(faults[1]->name, "fault_recovery_off");
   EXPECT_EQ(faults[2]->name, "fault_recovery_on");
+}
+
+TEST(ScenarioRegistry, PaperSuitesKeepTheirBenchNames) {
+  // Suite names are the BENCH_<name>.json file names and the ctest names:
+  // MGQ_PAPER_SUITES is the CMake list every paper.<name> test is made
+  // from. Suites live apart from the golden scenario set.
+  std::vector<std::string> expected;
+  std::istringstream list(MGQ_PAPER_SUITES);
+  for (std::string name; std::getline(list, name, ',');) {
+    expected.push_back(name);
+  }
+  std::sort(expected.begin(), expected.end());
+  const auto& registry = ScenarioRegistry::paper();
+  std::vector<std::string> names;
+  for (const auto* suite : registry.listSuites()) {
+    names.push_back(suite->name);
+    EXPECT_TRUE(static_cast<bool>(suite->run)) << suite->name;
+  }
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(registry.findSuite("fig1_under"), nullptr);
+}
+
+TEST(ScenarioRegistry, SuiteRunPrintsItsTableAndChecks) {
+  CheckReporter checks;
+  std::ostringstream out;
+  const auto* suite = ScenarioRegistry::paper().findSuite("fig7_burst_trace");
+  ASSERT_NE(suite, nullptr);
+  const auto results = suite->run(checks, out, /*threads=*/2);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].name, "fig7_frames_10fps");
+  EXPECT_NE(out.str().find("bursts in 1 s:"), std::string::npos);
+  EXPECT_EQ(checks.results().size(), 4u);
+  EXPECT_TRUE(checks.allPassed());
+}
+
+TEST(Sweep, SecondsParameterMovesTheFig1StopTime) {
+  const auto* info = ScenarioRegistry::paper().find("fig1_under");
+  ASSERT_NE(info, nullptr);
+  const auto base = info->make();
+  EXPECT_EQ(defaultRunUntilSeconds(base), 100.0);
+
+  const auto specs = expandSweep(base, {{"seconds", {10}}});
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(defaultRunUntilSeconds(specs[0]), 10.0);
+  const auto result = ScenarioRunner().run(specs[0]);
+  ASSERT_FALSE(result.series.empty());
+  EXPECT_LE(result.series.back().t_seconds, 10.0);
+  EXPECT_GE(result.series.back().t_seconds, 9.0);
 }
 
 TEST(Sweep, ExpandsCrossProductWithLabels) {

@@ -5,10 +5,11 @@
 //            [--baseline FILE [--max-regress F]] [--write-baseline FILE]
 //
 // Runs the kernel micro mixes (schedule-heavy, cancel-heavy,
-// wakeup-heavy) and the data-plane mixes (hop_forward, police_qdisc,
-// tcp_bulk, mpi_pingpong), then — unless --skip-e2e — the end-to-end
-// probes: one fig9_combined scenario run and a 200-seed chaos batch over
-// fig1_under. Results are printed as a table and exported as
+// wakeup-heavy), the data-plane mixes (hop_forward, police_qdisc,
+// tcp_bulk, mpi_pingpong), the control-plane mix (adapt_controller) and
+// the observability mix (obs_record), then — unless --skip-e2e — the
+// end-to-end probes: one fig9_combined scenario run and a 200-seed chaos
+// batch over fig1_under. Results are printed as a table and exported as
 // BENCH_perf.json through the standard obs exporters, so the perf
 // trajectory lands next to every other bench document.
 //
@@ -44,6 +45,7 @@ namespace {
 constexpr const char* kMixNames[] = {
     "schedule_heavy", "cancel_heavy", "wakeup_heavy",    "hop_forward",
     "police_qdisc",   "tcp_bulk",     "mpi_pingpong",    "adapt_controller",
+    "obs_record",
 };
 
 int usage(const char* argv0) {
@@ -148,6 +150,7 @@ int main(int argc, char** argv) {
   const std::int32_t pingpong_bytes = 16'384;
   const int adapt_tenants = 64;
   const double adapt_horizon = quick ? 30.0 : 120.0;
+  const int obs_records = quick ? 200'000 : 1'000'000;
 
   // Best-of-N: rerun each mix and keep the fastest trial.
   auto best = [trials](auto&& run) {
@@ -183,6 +186,8 @@ int main(int argc, char** argv) {
   if (selected("adapt_controller"))
     mixes.push_back(best(
         [&] { return perf::runAdaptController(adapt_tenants, adapt_horizon); }));
+  if (selected("obs_record"))
+    mixes.push_back(best([&] { return perf::runObsRecord(obs_records); }));
 
   std::vector<perf::WallResult> walls;
   if (!skip_e2e) {

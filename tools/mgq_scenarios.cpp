@@ -1,17 +1,22 @@
-// mgq_scenarios: list, run, and sweep the registered paper scenarios.
+// mgq_scenarios: list, run, and sweep the registered paper scenarios, and
+// run the paper suites.
 //
 //   mgq_scenarios --list [--filter <substr>]
 //   mgq_scenarios --run <name>[,<name>...] [--threads N] [--json-dir DIR]
 //   mgq_scenarios --sweep <name> --param key=v1,v2,... [--param ...]
 //                 [--threads N] [--json-dir DIR]
+//   mgq_scenarios --suite <name>[,<name>...] [--threads N] [--json-dir DIR]
 //
 // --run executes each named scenario (in parallel when --threads allows),
 // prints its check verdicts, and writes one BENCH_<name>.json per
 // scenario. --sweep cross-expands the named scenario over the given
 // parameters, runs every variant across the thread pool (one independent
 // Simulator per run, so results are identical to serial execution), and
-// writes a single merged, sorted BENCH_<name>_sweep.json. The exit code
-// is nonzero when any check fails.
+// writes a single merged, sorted BENCH_<name>_sweep.json. --suite runs
+// each named paper suite: the runs behind one figure or table, its
+// printed series/rows, its cross-run shape checks, and (for suites that
+// export) one merged BENCH_<suite>.json. The exit code is nonzero when
+// any check fails.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -22,7 +27,6 @@
 #include <vector>
 
 #include "obs/export.hpp"
-#include "scenario/catalog.hpp"
 #include "scenario/check.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -39,8 +43,10 @@ int usage(const char* argv0) {
                "       %s --run NAME[,NAME...] [--seed N] [--threads N]\n"
                "          [--json-dir D]\n"
                "       %s --sweep NAME --param KEY=V1,V2,... [--param ...]\n"
-               "          [--seed N] [--threads N] [--json-dir D]\n",
-               argv0, argv0, argv0);
+               "          [--seed N] [--threads N] [--json-dir D]\n"
+               "       %s --suite NAME[,NAME...] [--threads N]\n"
+               "          [--json-dir D]\n",
+               argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -76,7 +82,26 @@ int listScenarios(const std::string& filter) {
     table.addRow({info->name, info->paper_ref, info->title});
   }
   table.renderAscii(std::cout);
-  std::printf("%zu scenario(s)\n", entries.size());
+  std::printf("%zu scenario(s)\n\n", entries.size());
+
+  const auto suites = scenario::ScenarioRegistry::paper().listSuites(filter);
+  util::Table suite_table({"suite", "title"});
+  for (const auto* info : suites) {
+    suite_table.addRow({info->name, info->title});
+  }
+  suite_table.renderAscii(std::cout);
+  std::printf("%zu suite(s) (run with --suite)\n", suites.size());
+  return 0;
+}
+
+/// Exit-code summary shared by every mode: nonzero when any check failed.
+int finish(const scenario::CheckReporter& checks) {
+  const int failed = checks.failures();
+  if (failed > 0) {
+    std::printf("\n%d check(s) FAILED\n", failed);
+    return 1;
+  }
+  std::printf("\nall checks passed\n");
   return 0;
 }
 
@@ -124,13 +149,7 @@ int runScenarios(const std::vector<std::string>& names, const double* seed,
                                      json_dir),
         "wrote BENCH_" + r.name + ".json");
   }
-  const int failed = checks.failures();
-  if (failed > 0) {
-    std::printf("\n%d check(s) FAILED\n", failed);
-    return 1;
-  }
-  std::printf("\nall checks passed\n");
-  return 0;
+  return finish(checks);
 }
 
 int sweepScenario(const std::string& name,
@@ -173,19 +192,40 @@ int sweepScenario(const std::string& name,
                                             scenario::runExports(results),
                                             json_dir),
                "wrote BENCH_" + name + "_sweep.json");
-  const int failed = checks.failures();
-  if (failed > 0) {
-    std::printf("\n%d check(s) FAILED\n", failed);
-    return 1;
+  return finish(checks);
+}
+
+int runSuites(const std::vector<std::string>& names, int threads,
+              const std::string& json_dir) {
+  const auto& registry = scenario::ScenarioRegistry::paper();
+  std::vector<const scenario::SuiteInfo*> suites;
+  for (const auto& name : names) {
+    suites.push_back(registry.findSuite(name));
+    if (suites.back() == nullptr) {
+      std::fprintf(stderr, "unknown suite '%s' (try --list)\n", name.c_str());
+      return 2;
+    }
   }
-  std::printf("\nall checks passed\n");
-  return 0;
+
+  scenario::CheckReporter checks(&std::cout);
+  for (const auto* suite : suites) {
+    std::cout << "\n=== " << suite->title << " ===\n"
+              << "paper reference: " << suite->paper_ref << "\n\n";
+    // Cross-run verdicts first, then each run's own checks and the export.
+    const auto results = suite->run(checks, std::cout, threads);
+    if (results.empty()) continue;
+    for (const auto& r : results) checks.merge(r.checks);
+    checks.check(obs::exportMultiRunBenchJson(
+                     suite->name, scenario::runExports(results), json_dir),
+                 "wrote BENCH_" + suite->name + ".json");
+  }
+  return finish(checks);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  enum class Mode { kNone, kList, kRun, kSweep } mode = Mode::kNone;
+  enum class Mode { kNone, kList, kRun, kSweep, kSuite } mode = Mode::kNone;
   std::string filter;
   std::vector<std::string> run_names;
   std::string sweep_name;
@@ -212,6 +252,11 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       mode = Mode::kSweep;
       sweep_name = v;
+    } else if (arg == "--suite") {
+      const char* v = next();
+      if (v == nullptr) return usage(argv[0]);
+      mode = Mode::kSuite;
+      run_names = splitCommas(v);
     } else if (arg == "--param") {
       const char* v = next();
       scenario::SweepParam p;
@@ -254,6 +299,10 @@ int main(int argc, char** argv) {
       if (params.empty()) return usage(argv[0]);
       return sweepScenario(sweep_name, params, has_seed ? &seed : nullptr,
                            threads, json_dir);
+    case Mode::kSuite:
+      // Suites pin their own seeds; --seed applies to --run/--sweep only.
+      if (run_names.empty() || has_seed) return usage(argv[0]);
+      return runSuites(run_names, threads, json_dir);
     case Mode::kNone:
       break;
   }
