@@ -40,8 +40,9 @@ void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
 /// wire-fault counters (corrupted / duplicated / reordered / blackholed /
 /// pool-pressure clone sheds) and the payload pool's live-bytes,
 /// high-water, and ceiling-rejection gauges. Attached separately from
-/// snapshotRigCounters — only scenarios arming an AdversarialSpec call it,
-/// so legacy BENCH exports stay byte-identical.
+/// snapshotRigCounters — only scenarios whose fault plan names a
+/// premium-wire target call it, so other BENCH exports stay
+/// byte-identical.
 void snapshotAdversarialCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
                                  const std::string& prefix = {});
 

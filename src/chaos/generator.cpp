@@ -1,9 +1,9 @@
 #include "chaos/generator.hpp"
 
 #include <algorithm>
-
 #include <functional>
 
+#include "scenario/fault_targets.hpp"
 #include "sim/random.hpp"
 
 namespace mgq::chaos {
@@ -11,17 +11,7 @@ namespace {
 
 using sim::FaultAction;
 using sim::FaultEvent;
-using sim::TimePoint;
-
-FaultEvent makeEvent(double t_seconds, const std::string& target,
-                     FaultAction action, double param = 0.0) {
-  FaultEvent e;
-  e.at = TimePoint::fromSeconds(t_seconds);
-  e.target = target;
-  e.action = action;
-  e.param = param;
-  return e;
-}
+namespace target = scenario::fault_target;
 
 /// Paired episodes (down at t, up at min(t + duration, horizon)), starts
 /// Poisson with mean gap 100/rate, durations exponential. `param_fn` (may
@@ -31,15 +21,15 @@ void generateEpisodes(sim::Rng& rng, const std::string& target, double rate,
                       FaultAction down, FaultAction up,
                       const std::function<double(sim::Rng&)>& param_fn,
                       std::vector<FaultEvent>& out) {
-  if (rate <= 0.0 || target.empty()) return;
+  if (rate <= 0.0) return;
   const double mean_gap = 100.0 / rate;
   double t = warmup + rng.exponential(mean_gap);
   while (t < horizon) {
     const double param = param_fn ? param_fn(rng) : 0.0;
-    out.push_back(makeEvent(t, target, down, param));
+    out.push_back(scenario::faultAt(t, target, down, param));
     const double restore =
         std::min(t + rng.exponential(mean_duration), horizon);
-    out.push_back(makeEvent(restore, target, up));
+    out.push_back(scenario::faultAt(restore, target, up));
     t = restore + rng.exponential(mean_gap);
   }
 }
@@ -49,13 +39,13 @@ void generatePoints(sim::Rng& rng, const std::string& target, double rate,
                     double warmup, double horizon, FaultAction action,
                     double param_lo, double param_hi,
                     std::vector<FaultEvent>& out) {
-  if (rate <= 0.0 || target.empty()) return;
+  if (rate <= 0.0) return;
   const double mean_gap = 100.0 / rate;
   double t = warmup + rng.exponential(mean_gap);
   while (t < horizon) {
     const double param =
         param_hi > param_lo ? rng.uniform(param_lo, param_hi) : param_lo;
-    out.push_back(makeEvent(t, target, action, param));
+    out.push_back(scenario::faultAt(t, target, action, param));
     t += rng.exponential(mean_gap);
   }
 }
@@ -82,7 +72,7 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
   auto& events = plan.events;
   {
     auto rng = categoryRng();
-    generateEpisodes(rng, profile_.link_target, profile_.link_flaps_per_100s,
+    generateEpisodes(rng, target::kPremiumEdgeLink, profile_.link_flaps_per_100s,
                      profile_.mean_flap_seconds, warmup, horizon,
                      FaultAction::kDown, FaultAction::kUp,
                      nullptr, events);
@@ -94,13 +84,14 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
     auto draw = [lo, hi](sim::Rng& r) {
       return hi > lo ? r.uniform(lo, hi) : lo;
     };
-    generateEpisodes(rng, profile_.loss_target,
+    generateEpisodes(rng, target::kPremiumEdgeLoss,
                      profile_.loss_episodes_per_100s,
                      profile_.mean_loss_seconds, warmup, horizon,
                      FaultAction::kLossStart, FaultAction::kLossStop, draw,
                      events);
   }
-  for (const auto& manager : profile_.manager_targets) {
+  for (const char* manager :
+       {target::kNetForwardManager, target::kNetReverseManager}) {
     auto rng = categoryRng();
     generateEpisodes(rng, manager, profile_.manager_outages_per_100s,
                      profile_.mean_outage_seconds, warmup, horizon,
@@ -109,7 +100,7 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
   }
   {
     auto rng = categoryRng();
-    generateEpisodes(rng, profile_.hog_target,
+    generateEpisodes(rng, target::kSenderCpuHog,
                      profile_.cpu_hog_bursts_per_100s,
                      profile_.mean_hog_seconds, warmup, horizon,
                      FaultAction::kDown, FaultAction::kUp,
@@ -117,13 +108,13 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
   }
   {
     auto rng = categoryRng();
-    generatePoints(rng, profile_.churn_target,
+    generatePoints(rng, target::kReservationChurn,
                    profile_.reservation_cancels_per_100s, warmup, horizon,
                    FaultAction::kDown, 0.0, 0.0, events);
   }
   {
     auto rng = categoryRng();
-    generatePoints(rng, profile_.churn_target,
+    generatePoints(rng, target::kReservationChurn,
                    profile_.reservation_modifies_per_100s, warmup, horizon,
                    FaultAction::kLossStart, profile_.modify_min,
                    profile_.modify_max, events);
@@ -132,14 +123,14 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
   // the six original streams — existing soak plans stay byte-identical.
   {
     auto rng = categoryRng();
-    generateEpisodes(rng, profile_.agent_target,
+    generateEpisodes(rng, target::kQosAgent,
                      profile_.agent_crashes_per_100s,
                      profile_.mean_crash_downtime_seconds, warmup, horizon,
                      FaultAction::kDown, FaultAction::kUp, nullptr, events);
   }
   {
     auto rng = categoryRng();
-    generateEpisodes(rng, profile_.renewal_target,
+    generateEpisodes(rng, target::kLeaseRenewals,
                      profile_.renewal_storms_per_100s,
                      profile_.mean_storm_seconds, warmup, horizon,
                      FaultAction::kDown, FaultAction::kUp, nullptr, events);
@@ -153,7 +144,7 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
     auto draw = [lo, hi](sim::Rng& r) {
       return hi > lo ? r.uniform(lo, hi) : lo;
     };
-    generateEpisodes(rng, profile_.corruption_target,
+    generateEpisodes(rng, target::kPremiumEdgeCorrupt,
                      profile_.corruption_episodes_per_100s,
                      profile_.mean_corruption_seconds, warmup, horizon,
                      FaultAction::kLossStart, FaultAction::kLossStop, draw,
@@ -166,7 +157,7 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
     auto draw = [lo, hi](sim::Rng& r) {
       return hi > lo ? r.uniform(lo, hi) : lo;
     };
-    generateEpisodes(rng, profile_.duplicate_target,
+    generateEpisodes(rng, target::kPremiumEdgeDup,
                      profile_.duplicate_episodes_per_100s,
                      profile_.mean_duplicate_seconds, warmup, horizon,
                      FaultAction::kLossStart, FaultAction::kLossStop, draw,
@@ -179,7 +170,7 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
     auto draw = [lo, hi](sim::Rng& r) {
       return hi > lo ? r.uniform(lo, hi) : lo;
     };
-    generateEpisodes(rng, profile_.reorder_target,
+    generateEpisodes(rng, target::kPremiumEdgeReorder,
                      profile_.reorder_episodes_per_100s,
                      profile_.mean_reorder_seconds, warmup, horizon,
                      FaultAction::kLossStart, FaultAction::kLossStop, draw,
@@ -187,7 +178,7 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
   }
   {
     auto rng = categoryRng();
-    generateEpisodes(rng, profile_.partition_target,
+    generateEpisodes(rng, target::kPremiumEdgePartition,
                      profile_.partition_episodes_per_100s,
                      profile_.mean_partition_seconds, warmup, horizon,
                      FaultAction::kDown, FaultAction::kUp, nullptr, events);

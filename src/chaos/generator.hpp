@@ -77,20 +77,6 @@ struct ChaosProfile {
   /// No events before this time — lets connections and inline
   /// reservations establish first.
   double warmup_seconds = 0.5;
-
-  // Fault-target vocabulary (must match registerChaosTargets).
-  std::string link_target = "premium-edge-link";
-  std::string loss_target = "premium-edge-loss";
-  std::vector<std::string> manager_targets = {"net-forward-manager",
-                                              "net-reverse-manager"};
-  std::string hog_target = "sender-cpu-hog";
-  std::string churn_target = "reservation-churn";
-  std::string agent_target = "qos-agent";
-  std::string renewal_target = "lease-renewals";
-  std::string corruption_target = "premium-edge-corrupt";
-  std::string duplicate_target = "premium-edge-dup";
-  std::string reorder_target = "premium-edge-reorder";
-  std::string partition_target = "premium-edge-partition";
 };
 
 class ChaosPlanGenerator {

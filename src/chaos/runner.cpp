@@ -92,13 +92,11 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
   auto spec = info->make();
   spec.seed = plan.seed;
   // Failure in a chaos run means invariant violations, nothing else: the
-  // plan replaces the spec's scripted faults, and its shape checks (tuned
-  // for fault-free runs) are dropped.
+  // plan replaces the spec's fault plan, and its shape checks (tuned for
+  // fault-free runs) are dropped. Resilience wiring stays on via
+  // spec.resil.
   spec.faults.clear();
   spec.checks.clear();
-  // Scripted agent crashes belong to the plan too (the "qos-agent"
-  // target); resilience wiring itself stays on via spec.resil.
-  spec.agent_crashes.clear();
   if (plan.horizon_seconds > 0) spec.run_until_seconds = plan.horizon_seconds;
   // The monitor attaches violation context from the run's trace buffer.
   spec.observe = true;
@@ -108,16 +106,16 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
   std::string injector_log, injector_footer;
   PoolCeilingGuard pool_guard(options.pool_ceiling_bytes);
 
-  ChaosTargets targets;
   std::unique_ptr<InvariantMonitor> monitor;
   scenario::RunHooks hooks;
   hooks.on_built = [&](scenario::BuiltScenario& built) {
-    // The spec carries no faults, so the builder made no injector; the
-    // chaos run installs its own, seeded by the plan.
-    built.injector =
-        std::make_unique<sim::FaultInjector>(built.rig.sim, plan.seed);
-    targets = registerChaosTargets(built, *built.injector,
-                                   /*loss_seed=*/plan.seed * 2654435761u + 1);
+    // The spec carries no faults, so the builder wired no targets; the
+    // chaos run registers all of them, in fault_target::kAll order.
+    built.faults = std::make_unique<ChaosTargets>(
+        built, /*seed=*/plan.seed * 2654435761u + 1);
+    for (const char* name : scenario::fault_target::kAll) {
+      built.faults->ensure(name);
+    }
     monitor = std::make_unique<InvariantMonitor>(
         built.rig.sim, options.cadence_seconds, options.max_violations);
     if (built.trace != nullptr) {
@@ -125,18 +123,16 @@ ChaosRunReport ChaosRunner::runPlan(const ChaosPlan& plan,
     }
     attachStandardInvariants(*monitor, built);
     monitor->arm();
-    if (options.prepare) options.prepare(built, targets);
-    built.injector->schedulePlan(plan.events);
+    if (options.prepare) options.prepare(built, *built.faults);
+    built.faults->schedule(plan.events);
   };
   hooks.before_teardown = [&](scenario::BuiltScenario& built) {
     monitor->sweep();  // teardown sweep: catch end-state violations
-    report.injector_fired = built.injector->firedCount();
-    report.injector_skipped = built.injector->skippedActions();
-    injector_log = built.injector->logText();
-    injector_footer = built.injector->logFooter();
-    // The chaos machinery references rig internals (interfaces, CPU
-    // scheduler, managers); release it while the rig is still alive.
-    targets = ChaosTargets{};
+    const auto& injector = built.faults->injector();
+    report.injector_fired = injector.firedCount();
+    report.injector_skipped = injector.skippedActions();
+    injector_log = injector.logText();
+    injector_footer = injector.logFooter();
   };
 
   scenario::ScenarioRunner runner(/*echo=*/nullptr);

@@ -4,11 +4,10 @@
 //
 // A chaos run is a normal scenario run with three changes, applied
 // through RunHooks without touching the scenario code: the spec's own
-// scripted faults and shape checks are stripped (failure means invariant
-// violations, nothing else), a fresh FaultInjector executes the plan over
-// the chaos target vocabulary (chaos/targets.hpp), and an
-// InvariantMonitor sweeps the standard invariants on a cadence plus once
-// at teardown.
+// fault plan and shape checks are stripped (failure means invariant
+// violations, nothing else), the chaos plan executes over every fault
+// target (scenario/fault_targets.hpp), and an InvariantMonitor sweeps the
+// standard invariants on a cadence plus once at teardown.
 //
 // Determinism: one Simulator per run, the plan fully determines the fault
 // schedule, and the chaos log is assembled from fixed-format pieces —
@@ -24,10 +23,13 @@
 #include "chaos/generator.hpp"
 #include "chaos/invariants.hpp"
 #include "chaos/plan.hpp"
-#include "chaos/targets.hpp"
+#include "scenario/fault_targets.hpp"
 #include "scenario/registry.hpp"
 
 namespace mgq::chaos {
+
+/// The fault machinery a chaos run wires (every target registered).
+using ChaosTargets = scenario::FaultTargets;
 
 struct ChaosOptions {
   ChaosProfile profile;

@@ -17,8 +17,6 @@
 #include "apps/workloads.hpp"
 #include "gara/bandwidth_broker.hpp"
 #include "cpu/cpu_scheduler.hpp"
-#include "net/buffer.hpp"
-#include "net/faults.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -26,8 +24,8 @@
 #include "resil/journal.hpp"
 #include "resil/lease.hpp"
 #include "resil/reconciler.hpp"
+#include "scenario/fault_targets.hpp"
 #include "scenario/spec.hpp"
-#include "sim/fault_injector.hpp"
 #include "tcp/tcp_socket.hpp"
 
 namespace mgq::scenario {
@@ -55,30 +53,13 @@ struct BuiltScenario {
   cpu::JobId cpu_job = 0;
   gq::QosAttribute qos_attr;  // storage for non-premium / scheduled puts
 
-  // Environment scripts.
-  std::unique_ptr<cpu::CpuHog> hog;
-  std::unique_ptr<net::LinkFault> edge_link;
-  std::unique_ptr<sim::FaultInjector> injector;
+  // The spec's fault plan (spec.faults) over the fault-target set; null
+  // when the plan is empty (a chaos run installs its own).
+  std::unique_ptr<FaultTargets> faults;
 
-  // Adversarial data-plane machinery (spec.adversarial, DESIGN.md §14).
-  std::unique_ptr<net::CorruptionInjector> corrupt;
-  std::unique_ptr<net::DuplicateInjector> duplicate;
-  std::unique_ptr<net::ReorderInjector> reorder;
-  std::unique_ptr<net::PartitionFault> partition;
-  /// Restores the thread-local pool's live-bytes ceiling when the built
-  /// scenario is destroyed (scenarios build, run, and die on one thread).
-  struct PoolCeilingRestore {
-    bool active = false;
-    std::int64_t previous = 0;
-    ~PoolCeilingRestore() {
-      if (active) net::BufferPool::local().setLiveBytesCeiling(previous);
-    }
-  };
-  PoolCeilingRestore pool_ceiling_restore;
-
-  // Control-plane resilience (spec.resil / spec.agent_crashes): journal,
-  // leases, heartbeats, and the crash/restart orchestration used by both
-  // scripted AgentCrashSpecs and the chaos "qos-agent" fault target.
+  // Control-plane resilience (spec.resil, or a plan that names the
+  // qos-agent target): journal, leases, heartbeats, and the crash/restart
+  // orchestration the "qos-agent" fault target drives.
   struct ControlPlaneResilience {
     std::unique_ptr<resil::StateJournal> journal;
     std::unique_ptr<resil::LeaseManager> leases;

@@ -2,11 +2,15 @@
 
 #include <cmath>
 
+#include "scenario/fault_targets.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "util/stats.hpp"
 
 namespace mgq::scenario {
+
+using sim::FaultAction;
+namespace target = fault_target;
 
 ScenarioSpec offeredLoadFlowSpec(const std::string& name,
                                  double reservation_bps, double offered_bps,
@@ -119,7 +123,7 @@ ScenarioSpec fig8Spec() {
   // 42.5 ms of work per 50 ms frame: needs 85% of the CPU.
   w.cpu_seconds_per_frame = 0.0425;
   spec.workload = w;
-  spec.cpu_hogs.push_back(CpuHogSpec{10.0});
+  spec.faults = {faultAt(10.0, target::kSenderCpuHog, FaultAction::kDown)};
   ReservationSpec r;
   r.via = ReservationSpec::Via::kGaraCpu;
   r.at_seconds = 20.0;
@@ -168,7 +172,7 @@ ScenarioSpec fig9Spec() {
   net.network_kbps = 35'000.0;
   net.max_message_size = 218'750;
   spec.reservations.push_back(net);
-  spec.cpu_hogs.push_back(CpuHogSpec{31.0});
+  spec.faults = {faultAt(31.0, target::kSenderCpuHog, FaultAction::kDown)};
   ReservationSpec cpu;
   cpu.via = ReservationSpec::Via::kGaraCpu;
   cpu.at_seconds = 41.0;
@@ -322,7 +326,9 @@ ScenarioSpec faultRecoverySpec(const std::string& name, bool recovery_on) {
   r.network_kbps = 30'000.0;  // application rate, agent scales it up
   r.max_message_size = 37'500;
   spec.reservations.push_back(r);
-  spec.faults.push_back(FaultSpec{20.0, 3.0, 42, "premium-edge-link"});
+  spec.faults = {
+      faultAt(20.0, target::kPremiumEdgeLink, FaultAction::kDown),
+      faultAt(23.0, target::kPremiumEdgeLink, FaultAction::kUp)};
   spec.run_until_seconds = 60.0;
   const auto pre = [](const ScenarioResult& res) {
     return res.meanKbps(5.0, 20.0);
@@ -389,7 +395,8 @@ ScenarioSpec crashRecoverySpec(const std::string& name) {
   spec.resil.lease.enabled = true;
   spec.resil.lease.duration_seconds = 2.0;
   spec.resil.heartbeats = true;
-  spec.agent_crashes.push_back(AgentCrashSpec{20.0, 5.0});
+  spec.faults = {faultAt(20.0, target::kQosAgent, FaultAction::kDown),
+                 faultAt(25.0, target::kQosAgent, FaultAction::kUp)};
   spec.run_until_seconds = 60.0;
   const auto pre = [](const ScenarioResult& res) {
     return res.meanKbps(5.0, 20.0);
@@ -434,7 +441,8 @@ ScenarioSpec adversarialCorruptionSpec(const std::string& name) {
   auto spec = offeredLoadFlowSpec(name, 55e6 * 1.06, 50e6, /*seconds=*/30.0);
   spec.title = "Adversarial wire: Figure-1 flow through 0.5% corruption";
   spec.paper_ref = "DESIGN.md §14: TCP integrity under wire corruption";
-  spec.adversarial.corrupt_rate = 0.005;
+  spec.faults = {faultAt(0.0, target::kPremiumEdgeCorrupt,
+                         FaultAction::kLossStart, 0.005)};
   spec.checks = {
       // Conservation is an upper bound: a corrupted segment can also die
       // at the edge policer or a full queue before reaching the receiver,
@@ -457,8 +465,9 @@ ScenarioSpec partitionHealSpec(const std::string& name) {
   auto spec = offeredLoadFlowSpec(name, 55e6 * 1.06, 50e6, /*seconds=*/30.0);
   spec.title = "Partition/heal: premium egress blackholed 8-16 s";
   spec.paper_ref = "DESIGN.md §14: reconvergence after a healed partition";
-  spec.adversarial.partition_at_seconds = 8.0;
-  spec.adversarial.heal_at_seconds = 16.0;
+  spec.faults = {
+      faultAt(8.0, target::kPremiumEdgePartition, FaultAction::kDown),
+      faultAt(16.0, target::kPremiumEdgePartition, FaultAction::kUp)};
   spec.checks = {
       {"partition blackholed premium egress traffic",
        [](const ScenarioResult& res) { return res.wire_blackholed > 0; }},

@@ -82,9 +82,10 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
   if (built->sampler != nullptr) {
     built->sampler->stop();
     apps::snapshotRigCounters(rig, *built->metrics, /*prefix=*/{});
-    // Wire/pool gauges ride only on adversarial runs so every legacy
-    // scenario's BENCH export (and its golden hash) stays byte-identical.
-    if (spec.adversarial.enabled()) {
+    // Wire/pool gauges ride only on plans that fault the premium wire, so
+    // every other scenario's BENCH export (and its golden hash) stays
+    // byte-identical.
+    if (namesPremiumWireTarget(spec.faults)) {
       apps::snapshotAdversarialCounters(rig, *built->metrics, /*prefix=*/{});
     }
   }
@@ -163,7 +164,9 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
       result.tenants.push_back(std::move(out));
     }
   }
-  if (built->injector != nullptr) result.injector_log = built->injector->logText();
+  if (built->faults != nullptr) {
+    result.injector_log = built->faults->injector().logText();
+  }
   result.events_executed = rig.sim.eventsExecuted();
   if (built->metrics != nullptr) {
     apps::recordBandwidthSeries(*built->metrics, "workload.delivered_kbps",

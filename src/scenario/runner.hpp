@@ -47,8 +47,8 @@ struct ScenarioResult {
   std::uint64_t policer_drops = 0;
   std::uint64_t tcp_timeouts = 0;
 
-  /// Adversarial data-plane accounting (zero unless spec.adversarial or a
-  /// chaos plan armed the injectors): receiver-side checksum drops and
+  /// Adversarial data-plane accounting (zero unless a fault plan armed
+  /// the wire injectors): receiver-side checksum drops and
   /// connection resets, and the egress wire's corruption/duplication/
   /// reorder/blackhole totals.
   std::uint64_t checksum_drops = 0;
@@ -60,7 +60,7 @@ struct ScenarioResult {
 
   gq::QosRequestState qos_state = gq::QosRequestState::kNone;
   int recovery_attempts = 0;
-  std::string injector_log;
+  std::string injector_log;  // the fault plan's injector log, if any
 
   /// Per-tenant outcomes of an AdaptiveTenantsWorkload (empty otherwise).
   /// grows/shrinks/refused/clamped stay zero in static-baseline runs.

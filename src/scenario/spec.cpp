@@ -1,6 +1,9 @@
 #include "scenario/spec.hpp"
 
 #include <cstdio>
+#include <utility>
+
+#include "scenario/fault_targets.hpp"
 
 namespace mgq::scenario {
 namespace {
@@ -10,6 +13,33 @@ ReservationSpec* firstNetworkReservation(ScenarioSpec& spec) {
     if (r.via == ReservationSpec::Via::kQosAttribute) return &r;
   }
   return nullptr;
+}
+
+/// Indices into spec.faults of the first qos-agent `down` and the first
+/// `up` after it. A missing crash is appended at t=0 and a missing
+/// restart 1 s after its crash.
+std::pair<std::size_t, std::size_t> agentCrashPair(ScenarioSpec& spec) {
+  auto& plan = spec.faults;
+  const auto find = [&plan](std::size_t from, sim::FaultAction action) {
+    for (std::size_t i = from; i < plan.size(); ++i) {
+      if (plan[i].target == fault_target::kQosAgent &&
+          plan[i].action == action) {
+        return i;
+      }
+    }
+    return plan.size();
+  };
+  auto crash = find(0, sim::FaultAction::kDown);
+  if (crash == plan.size()) {
+    plan.push_back(faultAt(0.0, fault_target::kQosAgent,
+                           sim::FaultAction::kDown));
+  }
+  auto restart = find(crash + 1, sim::FaultAction::kUp);
+  if (restart == plan.size()) {
+    plan.push_back(faultAt(plan[crash].at.toSeconds() + 1.0,
+                           fault_target::kQosAgent, sim::FaultAction::kUp));
+  }
+  return {crash, restart};
 }
 
 }  // namespace
@@ -122,13 +152,16 @@ bool applyParam(ScenarioSpec& spec, const std::string& key, double value) {
     return true;
   }
   if (key == "crash_at") {
-    if (spec.agent_crashes.empty()) spec.agent_crashes.emplace_back();
-    spec.agent_crashes.front().at_seconds = value;
+    const auto [crash, restart] = agentCrashPair(spec);
+    const auto moved = sim::TimePoint::fromSeconds(value);
+    spec.faults[restart].at += moved - spec.faults[crash].at;
+    spec.faults[crash].at = moved;
     return true;
   }
   if (key == "restart_after") {
-    if (spec.agent_crashes.empty()) spec.agent_crashes.emplace_back();
-    spec.agent_crashes.front().restart_after_seconds = value;
+    const auto [crash, restart] = agentCrashPair(spec);
+    spec.faults[restart].at =
+        spec.faults[crash].at + sim::Duration::seconds(value);
     return true;
   }
   if (key == "seconds") {

@@ -54,6 +54,8 @@ struct FaultEvent {
   std::string target;
   FaultAction action = FaultAction::kDown;
   double param = 0.0;
+
+  bool operator==(const FaultEvent&) const = default;
 };
 
 class FaultInjector {

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "chaos/runner.hpp"
 #include "gara/slot_table.hpp"
 #include "net/buffer.hpp"
 #include "scenario/builder.hpp"
+#include "scenario/runner.hpp"
 
 namespace mgq::chaos {
 namespace {
@@ -133,6 +135,94 @@ TEST(ChaosRunnerTest, UnsabotagedRunNeverTripsSlotConservation) {
   EXPECT_TRUE(outcome.ok())
       << (outcome.failure() != nullptr ? outcome.failure()->log
                                        : std::string{});
+}
+
+// --- scripted fault plans ------------------------------------------------
+// A catalog scenario's fault plan is a chaos plan: it round-trips through
+// the replay format and logs the same injector lines either way.
+
+/// `spec`'s own fault plan as a chaos plan against its scenario.
+ChaosPlan scriptedPlan(const scenario::ScenarioSpec& spec) {
+  ChaosPlan plan;
+  plan.scenario = spec.name;
+  plan.seed = spec.seed;
+  plan.horizon_seconds = scenario::defaultRunUntilSeconds(spec);
+  plan.events = spec.faults;
+  return plan;
+}
+
+/// The injector lines of a chaos log, without the footer.
+std::string injectorSection(const std::string& log) {
+  const std::string header = "--- injector ---\n";
+  const auto start = log.find(header) + header.size();
+  return log.substr(start, log.find("fired=", start) - start);
+}
+
+TEST(ScriptedFaultPlanTest, EveryCatalogFaultPlanRoundTripsThroughReplay) {
+  int scripted = 0;
+  for (const auto* info : scenario::ScenarioRegistry::paper().list()) {
+    const auto spec = info->make();
+    if (spec.faults.empty()) continue;
+    ++scripted;
+    ChaosPlan parsed;
+    std::string error;
+    ASSERT_TRUE(parseReplay(serializeReplay(scriptedPlan(spec)), parsed, error))
+        << spec.name << ": " << error;
+    EXPECT_EQ(parsed.scenario, spec.name);
+    EXPECT_EQ(parsed.events, spec.faults) << spec.name;
+  }
+  // fig8, fig9, fault_recovery_{on,off,crash}, fig1_corrupt_wire and
+  // partition_heal_reconverge.
+  EXPECT_EQ(scripted, 7);
+}
+
+TEST(ScriptedFaultPlanTest, ScriptedRunLogsWhatTheChaosReplayLogs) {
+  // Horizons just past each plan's last event keep the runs short.
+  for (const auto& [name, horizon] :
+       {std::pair{"fig8_cpu_reservation", 11.0},
+        std::pair{"partition_heal_reconverge", 17.0}}) {
+    auto spec = scenario::ScenarioRegistry::paper().find(name)->make();
+    spec.run_until_seconds = horizon;
+    const auto scripted = scenario::ScenarioRunner().run(spec);
+    const auto replayed = ChaosRunner().runPlan(scriptedPlan(spec));
+    EXPECT_FALSE(scripted.injector_log.empty()) << name;
+    EXPECT_EQ(scripted.injector_log, injectorSection(replayed.log)) << name;
+  }
+}
+
+TEST(ChaosRunnerTest, PlanReplacesTheScenariosWireFaults) {
+  // fig1_corrupt_wire scripts 0.5% corruption on the premium egress wire.
+  // A chaos run replaces the scripted plan, so an empty plan corrupts
+  // nothing, and the scripted events replayed as a plan do corrupt.
+  const auto wireCorrupted = [](std::vector<sim::FaultEvent> events) {
+    ChaosPlan plan;
+    plan.scenario = "fig1_corrupt_wire";
+    plan.seed = 1;
+    plan.horizon_seconds = 3.0;
+    plan.events = std::move(events);
+    std::uint64_t corrupted = 0;
+    std::int64_t delivered = 0;
+    ChaosOptions options;
+    // The runner reads delivered bytes once more after the teardown
+    // sweep: read the wire's counter there too.
+    options.prepare = [&](scenario::BuiltScenario& built, ChaosTargets&) {
+      const auto* wire = built.rig.garnet.ingressEdgeInterface()->peer();
+      built.delivered_fn = [inner = std::move(built.delivered_fn), wire,
+                            &corrupted, &delivered] {
+        corrupted = wire->stats().corrupted;
+        delivered = inner();
+        return delivered;
+      };
+    };
+    const auto report = ChaosRunner().runPlan(plan, options);
+    EXPECT_TRUE(report.ok()) << report.log;
+    EXPECT_GT(delivered, 0);
+    return corrupted;
+  };
+  EXPECT_EQ(wireCorrupted({}), 0u);
+  const auto spec =
+      scenario::ScenarioRegistry::paper().find("fig1_corrupt_wire")->make();
+  EXPECT_GT(wireCorrupted(spec.faults), 0u);
 }
 
 // --- 200-seed soaks over the stock paper scenarios -----------------------

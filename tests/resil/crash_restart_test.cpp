@@ -4,15 +4,25 @@
 // manager, re-issues the QoS intent, and re-converges to granted QoS.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "scenario/catalog.hpp"
+#include "scenario/fault_targets.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/sweep.hpp"
 
 namespace mgq::scenario {
 namespace {
 
 double counterOf(const ScenarioResult& res, const char* name) {
   return res.metrics == nullptr ? 0.0 : res.metrics->counter(name).value();
+}
+
+/// A qos-agent crash at `crash_s` and its restart at `restart_s`.
+std::vector<sim::FaultEvent> agentCrash(double crash_s, double restart_s) {
+  return {faultAt(crash_s, fault_target::kQosAgent, sim::FaultAction::kDown),
+          faultAt(restart_s, fault_target::kQosAgent, sim::FaultAction::kUp)};
 }
 
 TEST(CrashRestartScenarioTest, RegistryCarriesTheCrashScenario) {
@@ -23,9 +33,7 @@ TEST(CrashRestartScenarioTest, RegistryCarriesTheCrashScenario) {
   const auto spec = info->make();
   EXPECT_TRUE(spec.resil.enabled());
   EXPECT_TRUE(spec.resil.lease.enabled);
-  ASSERT_EQ(spec.agent_crashes.size(), 1u);
-  EXPECT_DOUBLE_EQ(spec.agent_crashes[0].at_seconds, 20.0);
-  EXPECT_DOUBLE_EQ(spec.agent_crashes[0].restart_after_seconds, 5.0);
+  EXPECT_EQ(spec.faults, agentCrash(20.0, 25.0));
 }
 
 TEST(CrashRestartScenarioTest, CrashRestartReconvergesToGrantedQos) {
@@ -56,10 +64,43 @@ TEST(CrashRestartScenarioTest, CrashTimingIsTunableViaParams) {
   EXPECT_TRUE(applyParam(spec, "crash_at", 12.0));
   EXPECT_TRUE(applyParam(spec, "restart_after", 2.0));
   EXPECT_TRUE(applyParam(spec, "lease_seconds", 1.0));
-  ASSERT_EQ(spec.agent_crashes.size(), 1u);
-  EXPECT_DOUBLE_EQ(spec.agent_crashes[0].at_seconds, 12.0);
-  EXPECT_DOUBLE_EQ(spec.agent_crashes[0].restart_after_seconds, 2.0);
+  EXPECT_EQ(spec.faults, agentCrash(12.0, 14.0));
   EXPECT_DOUBLE_EQ(spec.resil.lease.duration_seconds, 1.0);
+}
+
+TEST(CrashRestartScenarioTest, CrashAtKeepsTheRestartDelay) {
+  auto spec = crashRecoverySpec("fault_recovery_crash");
+  EXPECT_TRUE(applyParam(spec, "crash_at", 12.0));
+  EXPECT_EQ(spec.faults, agentCrash(12.0, 17.0));
+}
+
+TEST(CrashRestartScenarioTest, CrashParamsAddAPairToAPlanWithoutOne) {
+  // fault_recovery_on scripts a link flap only; crash_at appends a
+  // qos-agent crash with the default 1 s restart delay and leaves the
+  // flap alone.
+  auto spec = ScenarioRegistry::paper().find("fault_recovery_on")->make();
+  const auto flap = spec.faults;
+  EXPECT_TRUE(applyParam(spec, "crash_at", 12.0));
+  auto expected = flap;
+  for (const auto& e : agentCrash(12.0, 13.0)) expected.push_back(e);
+  EXPECT_EQ(spec.faults, expected);
+
+  auto restart_only = ScenarioRegistry::paper().find("fig1_under")->make();
+  EXPECT_TRUE(applyParam(restart_only, "restart_after", 4.0));
+  EXPECT_EQ(restart_only.faults, agentCrash(0.0, 4.0));
+}
+
+TEST(CrashRestartScenarioTest, CrashAtThenRestartAfterSweepRetimesThePair) {
+  // The sweep applies crash_at first, then restart_after: every point
+  // ends with restart = crash_at + restart_after.
+  const auto specs =
+      expandSweep(crashRecoverySpec("fault_recovery_crash"),
+                  {{"crash_at", {12.0, 30.0}}, {"restart_after", {2.0, 8.0}}});
+  ASSERT_EQ(specs.size(), 4u);
+  EXPECT_EQ(specs[0].faults, agentCrash(12.0, 14.0));
+  EXPECT_EQ(specs[1].faults, agentCrash(12.0, 20.0));
+  EXPECT_EQ(specs[2].faults, agentCrash(30.0, 32.0));
+  EXPECT_EQ(specs[3].faults, agentCrash(30.0, 38.0));
 }
 
 TEST(CrashRestartScenarioTest, SameSeedIsDeterministic) {
