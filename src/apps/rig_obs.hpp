@@ -39,7 +39,8 @@ void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
 /// End-of-run adversarial data-plane snapshot under `prefix`: premium-edge
 /// wire-fault counters (corrupted / duplicated / reordered / blackholed /
 /// pool-pressure clone sheds) and the payload pool's live-bytes,
-/// high-water, and ceiling-rejection gauges. Attached separately from
+/// high-water, and ceiling-rejection gauges (per run: the scenario
+/// builder resets the marks). Attached separately from
 /// snapshotRigCounters — only scenarios whose fault plan names a
 /// premium-wire target call it, so other BENCH exports stay
 /// byte-identical.

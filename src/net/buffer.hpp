@@ -178,6 +178,14 @@ class BufferPool {
   }
 
   const BufferPoolStats& stats() const { return stats_; }
+  /// Starts a fresh window for the per-run gauges: the high-water marks
+  /// drop to what is live now and ceiling_rejections to zero. The
+  /// allocation counters stay cumulative (callers diff them).
+  void resetPeaks() {
+    stats_.high_water = stats_.live;
+    stats_.high_water_bytes = stats_.live_bytes;
+    stats_.ceiling_rejections = 0;
+  }
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;

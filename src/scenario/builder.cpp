@@ -6,6 +6,7 @@
 #include "apps/rig_obs.hpp"
 #include "gara/gara.hpp"
 #include "gq/shaper.hpp"
+#include "net/buffer.hpp"
 #include "net/classifier.hpp"
 #include "util/logging.hpp"
 
@@ -320,6 +321,9 @@ void wirePingLatency(BuiltScenario& b, const ScenarioSpec& spec,
 
 std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
     const ScenarioSpec& spec) {
+  // The pool gauges a run exports (high-water, ceiling rejections) count
+  // from this build, not from earlier runs on the thread.
+  net::BufferPool::local().resetPeaks();
   apps::GarnetRig::Config config = spec.rig;
   config.seed = spec.seed;
   auto built = std::make_unique<BuiltScenario>(config);

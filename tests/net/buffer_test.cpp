@@ -91,6 +91,35 @@ TEST(BufferPoolTest, HighWaterTracksPeakLiveBuffers) {
   EXPECT_EQ(BufferPool::local().stats().live, base_live);
 }
 
+TEST(BufferPoolTest, ResetPeaksStartsAFreshWindowAndKeepsTotals) {
+  auto& pool = BufferPool::local();
+  const auto prev_ceiling = pool.liveBytesCeiling();
+  {
+    std::vector<BufferRef> burst;
+    for (int i = 0; i < 8; ++i) burst.push_back(pool.allocate(4096));
+    pool.setLiveBytesCeiling(pool.stats().live_bytes);
+    EXPECT_FALSE(pool.tryAllocate(4096));
+    pool.setLiveBytesCeiling(prev_ceiling);
+  }
+  auto held = pool.allocate(256);
+  const auto before = pool.stats();
+  ASSERT_GT(before.high_water_bytes, before.live_bytes);
+  ASSERT_GT(before.ceiling_rejections, 0u);
+
+  pool.resetPeaks();
+  const auto& after = pool.stats();
+  // The marks drop to what is live now; the counters callers diff stay.
+  EXPECT_EQ(after.high_water, after.live);
+  EXPECT_EQ(after.high_water_bytes, after.live_bytes);
+  EXPECT_EQ(after.ceiling_rejections, 0u);
+  EXPECT_EQ(after.allocations, before.allocations);
+  EXPECT_EQ(after.fresh, before.fresh);
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
+
+  auto more = pool.allocate(1024);
+  EXPECT_EQ(pool.stats().high_water_bytes, pool.stats().live_bytes);
+}
+
 TEST(BufferPoolTest, CeilingRejectsTryAllocateAndRecovers) {
   auto& pool = BufferPool::local();
   const auto prev_ceiling = pool.liveBytesCeiling();

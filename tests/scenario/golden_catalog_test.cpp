@@ -66,15 +66,6 @@ std::map<std::string, GoldenRow> loadGolden(const std::string& path) {
   return rows;
 }
 
-/// BufferPool statistics are per thread and outlive a run, and an
-/// adversarial scenario exports the thread's lifetime pool high-water
-/// mark. The rows were recorded with the whole catalog run in name order
-/// on one thread. Of the scenarios before partition_heal_reconverge only
-/// fig1_under lifts that mark above the scenario's own, so its case runs
-/// fig1_under first; every other row is what its scenario exports alone.
-const std::map<std::string, std::vector<std::string>> kRecordedAfter{
-    {"partition_heal_reconverge", {"fig1_under"}}};
-
 /// Runs the named catalog scenarios in order on a thread of its own, so
 /// no earlier run in this process leaves pool statistics behind.
 std::vector<ScenarioResult> runOnFreshThread(
@@ -97,13 +88,7 @@ std::vector<ScenarioResult> runOnFreshThread(
 }
 
 GoldenRow measure(const ScenarioInfo& info) {
-  std::vector<std::string> names;
-  if (const auto it = kRecordedAfter.find(info.name);
-      it != kRecordedAfter.end()) {
-    names = it->second;
-  }
-  names.push_back(info.name);
-  const auto result = runOnFreshThread(names).back();
+  const auto result = runOnFreshThread({info.name}).back();
   GoldenRow row;
   row.events_executed = result.events_executed;
   row.json_hash =
@@ -191,11 +176,10 @@ TEST(GoldenCatalog, RowsMatchTheCatalogExactly) {
   }
 }
 
-// The pool high-water mark an adversarial run exports still carries the
-// previous run's peak. When the export gets a per-run mark this test
-// fails; then drop kRecordedAfter and re-record the
-// partition_heal_reconverge row.
-TEST(GoldenCatalog, PoolHighWaterCarriesOverBetweenRunsOnOneThread) {
+// An adversarial run exports its own pool high-water mark: the builder
+// starts a fresh mark, so a run after another on the same thread exports
+// what it exports alone.
+TEST(GoldenCatalog, PoolHighWaterIsPerRun) {
   const auto mark = [](const ScenarioResult& r) {
     return r.metrics->counter("pool.high_water_bytes").value();
   };
@@ -204,8 +188,8 @@ TEST(GoldenCatalog, PoolHighWaterCarriesOverBetweenRunsOnOneThread) {
       runOnFreshThread({"fig1_corrupt_wire", "partition_heal_reconverge"});
   ASSERT_NE(alone.back().metrics, nullptr);
   ASSERT_NE(after.back().metrics, nullptr);
-  EXPECT_GT(mark(after.back()), mark(alone.back()));
-  EXPECT_EQ(mark(after.back()), mark(after.front()));
+  EXPECT_GT(mark(after.front()), mark(alone.back()));
+  EXPECT_EQ(mark(after.back()), mark(alone.back()));
 }
 
 }  // namespace
