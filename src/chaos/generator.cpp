@@ -72,7 +72,8 @@ ChaosPlan ChaosPlanGenerator::generate(const std::string& scenario,
   auto& events = plan.events;
   {
     auto rng = categoryRng();
-    generateEpisodes(rng, target::kPremiumEdgeLink, profile_.link_flaps_per_100s,
+    generateEpisodes(rng, target::kPremiumEdgeLink,
+                     profile_.link_flaps_per_100s,
                      profile_.mean_flap_seconds, warmup, horizon,
                      FaultAction::kDown, FaultAction::kUp,
                      nullptr, events);

@@ -453,7 +453,8 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
   }
 
   // CPU job for the workload, registered before the fault targets so a
-  // scripted CPU hog's job id follows it (as in the hand-written benches).
+  // plan's CPU hog takes the next job id (job ids fix the order in which
+  // the CPU scheduler visits its jobs).
   const auto* viz = std::get_if<VisualizationWorkload>(&spec.workload);
   bool wants_cpu_job = viz != nullptr && viz->cpu_seconds_per_frame > 0;
   for (const auto& r : spec.reservations) {

@@ -9,8 +9,9 @@ namespace mgq::scenario {
 
 bool namesTarget(const std::vector<sim::FaultEvent>& plan,
                  const std::string& target) {
-  return std::any_of(plan.begin(), plan.end(),
-                     [&](const sim::FaultEvent& e) { return e.target == target; });
+  return std::any_of(plan.begin(), plan.end(), [&](const auto& e) {
+    return e.target == target;
+  });
 }
 
 bool namesPremiumWireTarget(const std::vector<sim::FaultEvent>& plan) {

@@ -111,7 +111,6 @@ class FaultTargets {
   void schedule(const std::vector<sim::FaultEvent>& plan);
 
   sim::FaultInjector& injector() { return injector_; }
-  const sim::FaultInjector& injector() const { return injector_; }
 
   // The machinery, null until its target is ensured. Tests reach the
   // manager proxies' slot tables here (e.g. forceOverAdmissionForTest).

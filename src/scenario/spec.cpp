@@ -36,8 +36,8 @@ std::pair<std::size_t, std::size_t> agentCrashPair(ScenarioSpec& spec) {
   }
   auto restart = find(crash + 1, sim::FaultAction::kUp);
   if (restart == plan.size()) {
-    plan.push_back(faultAt(plan[crash].at.toSeconds() + 1.0,
-                           fault_target::kQosAgent, sim::FaultAction::kUp));
+    plan.push_back({plan[crash].at + sim::Duration::seconds(1.0),
+                    fault_target::kQosAgent, sim::FaultAction::kUp});
   }
   return {crash, restart};
 }
