@@ -1,17 +1,22 @@
-// Golden-determinism guard for the event kernel.
+// Golden-determinism guard for the simulation.
 //
 // Pins, per scenario in ScenarioRegistry::paper(), (a)
-// Simulator::eventsExecuted() and (b) the FNV-1a hash of the scenario's
-// rendered BENCH JSON document against the checked-in table
-// golden_catalog.txt. Any kernel change that silently reorders
-// same-timestamp events — or perturbs scheduling at all — shows up here
-// as a hash/count mismatch long before a replay file or figure does.
+// Simulator::eventsExecuted() and (b) the FNV-1a digest of the run's
+// simulated outcome (outcomeText below) against the checked-in table
+// golden_catalog.txt. Any kernel or protocol change that silently
+// reorders same-timestamp events, or moves what a flow achieved, shows up
+// here as a count/digest mismatch long before a replay file or figure
+// does. The digest reads only the typed ScenarioResult fields and the
+// trace's reservation/QoS events — never the MetricsRegistry or the JSON
+// renderer — so adding or renaming an exported metric leaves it alone.
 //
 // Each scenario is its own test case
-// (Catalog/GoldenScenario.PreservesEventCountsAndBenchBytes/<name>), so a
-// mismatch names its scenario and `ctest -j` runs the scenarios side by
-// side. GoldenCatalog.RowsMatchTheCatalogExactly checks that every
-// catalog entry has a row and no stale row lingers.
+// (Catalog/GoldenScenario.PreservesEventCountsAndBenchBytes/<name>; the
+// case keeps the name it had when it hashed BENCH bytes, so its history
+// stays continuous), so a mismatch names its scenario, prints its outcome
+// text, and `ctest -j` runs the scenarios side by side.
+// GoldenCatalog.RowsMatchTheCatalogExactly checks that every catalog
+// entry has a row and no stale row lingers.
 //
 // Regenerate after an *intentional* behavior change with:
 //   MGQ_UPDATE_GOLDEN=1 ./build/tests/scenario_test
@@ -35,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "gq/qos_attribute.hpp"
 #include "obs/export.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -46,9 +52,102 @@
 namespace mgq::scenario {
 namespace {
 
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Fixed-format number for the outcome text: %.17g round-trips a double.
+std::string num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// The run's simulated outcome as text, one line per field. Series are
+/// summarized as their length and the FNV-1a of their points so the text
+/// stays short enough to print on a mismatch.
+std::string outcomeText(const ScenarioResult& r) {
+  std::ostringstream os;
+  const auto series = [&os](const char* label, const std::string& points,
+                            std::size_t n) {
+    os << label << " n=" << n << " fnv=" << hex64(obs::fnv1a64(points))
+       << "\n";
+  };
+
+  os << "events_executed " << r.events_executed << "\n"
+     << "delivered_bytes " << r.delivered_bytes << "\n"
+     << "delivered_at_measure " << r.delivered_at_measure << "\n";
+  {
+    std::string points;
+    for (const auto& p : r.series) {
+      points += num(p.t_seconds) + " " + num(p.kbps) + "\n";
+    }
+    series("bandwidth_series", points, r.series.size());
+  }
+  {
+    std::string points;
+    for (const auto& p : r.sequence_trace) {
+      points += num(p.t_seconds) + " " + std::to_string(p.seq) + " " +
+                std::to_string(p.bytes) + (p.retransmit ? " r\n" : "\n");
+    }
+    series("sequence_trace", points, r.sequence_trace.size());
+  }
+  {
+    std::string points;
+    for (const double ms : r.rtt_ms) points += num(ms) + "\n";
+    series("rtt_ms", points, r.rtt_ms.size());
+  }
+  os << "pingpong " << r.pingpong.round_trips << " "
+     << r.pingpong.bytes_received << "\n"
+     << "viz " << r.viz.frames_sent << " " << r.viz.frames_delivered << " "
+     << r.viz.bytes_delivered << "\n"
+     << "policer_drops " << r.policer_drops << "\n"
+     << "tcp_timeouts " << r.tcp_timeouts << "\n"
+     << "checksum_drops " << r.checksum_drops << "\n"
+     << "tcp_resets " << r.tcp_resets << "\n"
+     << "wire " << r.wire_corrupted << " " << r.wire_duplicated << " "
+     << r.wire_reordered << " " << r.wire_blackholed << "\n"
+     << "qos_state " << gq::qosRequestStateName(r.qos_state) << "\n"
+     << "recovery_attempts " << r.recovery_attempts << "\n";
+  for (const auto& t : r.tenants) {
+    os << "tenant " << t.name << " " << t.delivered_bytes << " "
+       << num(t.initial_kbps) << " " << num(t.final_kbps) << " " << t.grows
+       << " " << t.shrinks << " " << t.refused << " " << t.clamped << "\n";
+  }
+  os << "adapt " << r.adapt_ticks << " " << r.adapt_grows << " "
+     << r.adapt_shrinks << " " << r.adapt_refused << " " << r.adapt_clamped
+     << "\n";
+  series("injector_log", r.injector_log,
+         static_cast<std::size_t>(
+             std::count(r.injector_log.begin(), r.injector_log.end(), '\n')));
+  for (const auto& c : r.checks) {
+    os << (c.ok ? "[PASS] " : "[FAIL] ") << c.what << "\n";
+  }
+  if (r.trace != nullptr) {
+    std::string events;
+    std::size_t n = 0;
+    for (const auto& e : r.trace->events()) {
+      if (e.category != "reservation" && e.category != "qos") continue;
+      events += num(e.t_seconds) + " " + e.category + " " + e.event + " " +
+                std::to_string(e.id) + " " + num(e.value) + " " + e.detail +
+                "\n";
+      ++n;
+    }
+    series("trace_reservation_qos", events, n);
+  }
+  return os.str();
+}
+
+std::uint64_t outcomeDigest(const ScenarioResult& r) {
+  return obs::fnv1a64(outcomeText(r));
+}
+
 struct GoldenRow {
   std::uint64_t events_executed = 0;
-  std::uint64_t json_hash = 0;
+  std::uint64_t outcome_digest = 0;
 };
 
 std::map<std::string, GoldenRow> loadGolden(const std::string& path) {
@@ -60,25 +159,22 @@ std::map<std::string, GoldenRow> loadGolden(const std::string& path) {
     std::istringstream ss(line);
     std::string name;
     GoldenRow row;
-    ss >> name >> row.events_executed >> std::hex >> row.json_hash;
+    ss >> name >> row.events_executed >> std::hex >> row.outcome_digest;
     if (!ss.fail()) rows[name] = row;
   }
   return rows;
 }
 
-/// Runs the named catalog scenarios in order on a thread of its own, so
-/// no earlier run in this process leaves pool statistics behind.
+/// Runs the given specs in order on a thread of its own, so no earlier
+/// run in this process leaves pool statistics behind.
 std::vector<ScenarioResult> runOnFreshThread(
-    const std::vector<std::string>& names) {
+    const std::vector<ScenarioSpec>& specs) {
   std::vector<ScenarioResult> results;
   std::exception_ptr error;
   std::thread([&] {
     try {
       ScenarioRunner runner;  // no echo; checks are not the subject here
-      for (const auto& name : names) {
-        const auto* info = ScenarioRegistry::paper().find(name);
-        results.push_back(runner.run(info->make()));
-      }
+      for (const auto& spec : specs) results.push_back(runner.run(spec));
     } catch (...) {
       error = std::current_exception();
     }
@@ -87,13 +183,39 @@ std::vector<ScenarioResult> runOnFreshThread(
   return results;
 }
 
-GoldenRow measure(const ScenarioInfo& info) {
-  const auto result = runOnFreshThread({info.name}).back();
-  GoldenRow row;
-  row.events_executed = result.events_executed;
-  row.json_hash =
-      obs::fnv1a64(obs::renderMultiRunJson(info.name, runExports({result})));
-  return row;
+ScenarioSpec catalogSpec(const std::string& name) {
+  return ScenarioRegistry::paper().find(name)->make();
+}
+
+ScenarioResult runAlone(const std::string& name) {
+  return runOnFreshThread({catalogSpec(name)}).back();
+}
+
+GoldenRow rowOf(const ScenarioResult& r) {
+  return {r.events_executed, outcomeDigest(r)};
+}
+
+/// Compares a run against its golden row; a mismatch names the scenario
+/// and prints the run's outcome text.
+::testing::AssertionResult matchesGolden(const std::string& name,
+                                         const ScenarioResult& r,
+                                         const GoldenRow& golden) {
+  const auto row = rowOf(r);
+  if (row.events_executed == golden.events_executed &&
+      row.outcome_digest == golden.outcome_digest) {
+    return ::testing::AssertionSuccess();
+  }
+  auto failure = ::testing::AssertionFailure() << name << ": ";
+  if (row.events_executed != golden.events_executed) {
+    failure << "eventsExecuted " << row.events_executed << " != golden "
+            << golden.events_executed
+            << " — the kernel executed a different event sequence; ";
+  }
+  if (row.outcome_digest != golden.outcome_digest) {
+    failure << "outcome digest " << hex64(row.outcome_digest)
+            << " != golden " << hex64(golden.outcome_digest) << "; ";
+  }
+  return failure << "the run's outcome text:\n" << outcomeText(r);
 }
 
 std::vector<std::string> catalogNames() {
@@ -109,15 +231,13 @@ bool updateGolden() { return std::getenv("MGQ_UPDATE_GOLDEN") != nullptr; }
 
 void writeGolden(const std::string& path) {
   std::ostringstream rows;
-  rows << "# scenario events_executed fnv1a64(BENCH json), one row per\n"
+  rows << "# scenario events_executed fnv1a64(outcome text), one row per\n"
        << "# catalog entry; regenerate with MGQ_UPDATE_GOLDEN=1 (see\n"
        << "# golden_catalog_test.cpp).\n";
-  for (const auto* info : ScenarioRegistry::paper().list()) {
-    const auto row = measure(*info);
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(row.json_hash));
-    rows << info->name << " " << row.events_executed << " " << buf << "\n";
+  for (const auto& name : catalogNames()) {
+    const auto row = rowOf(runAlone(name));
+    rows << name << " " << row.events_executed << " "
+         << hex64(row.outcome_digest) << "\n";
   }
   std::ofstream out(path);
   ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -136,13 +256,7 @@ TEST_P(GoldenScenario, PreservesEventCountsAndBenchBytes) {
   const auto it = golden.find(name);
   ASSERT_NE(it, golden.end())
       << "scenario " << name << " missing from golden; regenerate";
-  const auto row = measure(*ScenarioRegistry::paper().find(name));
-  EXPECT_EQ(row.events_executed, it->second.events_executed)
-      << name << ": eventsExecuted changed — the kernel executed a "
-      << "different event sequence";
-  EXPECT_EQ(row.json_hash, it->second.json_hash)
-      << name << ": BENCH JSON bytes changed — exported series/trace "
-      << "are no longer identical";
+  EXPECT_TRUE(matchesGolden(name, runAlone(name), it->second));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -176,6 +290,47 @@ TEST(GoldenCatalog, RowsMatchTheCatalogExactly) {
   }
 }
 
+// The digest pins what the simulation did, not what the run exported: a
+// counter added to the run's registry leaves it alone, while a different
+// seed of the same scenario moves it. fault_recovery_on draws its
+// recovery backoff jitter from the simulation seed; most catalog
+// scenarios draw nothing from it.
+TEST(GoldenCatalog, DigestIgnoresExportedMetrics) {
+  auto result = runAlone("fault_recovery_on");
+  ASSERT_NE(result.metrics, nullptr);
+  const auto digest = outcomeDigest(result);
+  result.metrics->counter("test.extra_metric").inc(7);
+  EXPECT_EQ(outcomeDigest(result), digest);
+
+  auto reseeded = catalogSpec("fault_recovery_on");
+  ASSERT_TRUE(applyParam(reseeded, "seed", 2));
+  EXPECT_NE(outcomeDigest(runOnFreshThread({reseeded}).back()), digest);
+}
+
+TEST(GoldenCatalog, MismatchNamesTheScenarioAndPrintsItsOutcome) {
+  const auto result = runAlone("fig7_frames_1fps");
+  auto row = rowOf(result);
+  EXPECT_TRUE(matchesGolden("fig7_frames_1fps", result, row));
+  row.outcome_digest ^= 1;
+  const auto verdict = matchesGolden("fig7_frames_1fps", result, row);
+  ASSERT_FALSE(verdict);
+  const std::string message = verdict.message();
+  EXPECT_EQ(message.rfind("fig7_frames_1fps: ", 0), 0u) << message;
+  EXPECT_NE(message.find(outcomeText(result)), std::string::npos) << message;
+}
+
+// The byte hash this guard used to pin implied that a scenario's BENCH
+// export is deterministic; pin that property directly.
+TEST(GoldenCatalog, BenchExportIsByteIdenticalAcrossRuns) {
+  const auto render = [](const ScenarioResult& r) {
+    return obs::renderMultiRunJson(r.name, runExports({r}));
+  };
+  const auto first = runAlone("fig1_corrupt_wire");
+  const auto second = runAlone("fig1_corrupt_wire");
+  ASSERT_NE(first.metrics, nullptr);
+  EXPECT_EQ(render(first), render(second));
+}
+
 // An adversarial run exports its own pool high-water mark: the builder
 // starts a fresh mark, so a run after another on the same thread exports
 // what it exports alone.
@@ -183,9 +338,11 @@ TEST(GoldenCatalog, PoolHighWaterIsPerRun) {
   const auto mark = [](const ScenarioResult& r) {
     return r.metrics->counter("pool.high_water_bytes").value();
   };
-  const auto alone = runOnFreshThread({"partition_heal_reconverge"});
-  const auto after =
-      runOnFreshThread({"fig1_corrupt_wire", "partition_heal_reconverge"});
+  const auto alone = runOnFreshThread(
+      {catalogSpec("partition_heal_reconverge")});
+  const auto after = runOnFreshThread(
+      {catalogSpec("fig1_corrupt_wire"),
+       catalogSpec("partition_heal_reconverge")});
   ASSERT_NE(alone.back().metrics, nullptr);
   ASSERT_NE(after.back().metrics, nullptr);
   EXPECT_GT(mark(after.front()), mark(alone.back()));
