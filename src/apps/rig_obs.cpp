@@ -16,41 +16,36 @@ double classBytes(const net::Interface* iface, net::Dscp d) {
 }  // namespace
 
 void attachRigObservability(GarnetRig& rig, obs::MetricsRegistry& metrics,
-                            obs::TraceBuffer& trace, obs::Sampler& sampler,
-                            const std::string& prefix) {
+                            obs::TraceBuffer& trace, obs::Sampler& sampler) {
   rig.gara.attachObservability(&metrics, &trace);
   rig.agent.attachObservability(&metrics, &trace);
-  // Scope = prefix minus the metric-name separator dot.
-  std::string scope = prefix;
-  if (!scope.empty() && scope.back() == '.') scope.pop_back();
-  trace.setScope(std::move(scope));
 
   const auto* core = rig.garnet.coreBottleneckInterface();
-  sampler.addProbe(prefix + "qdisc.ef_bytes",
-                   [core] { return classBytes(core, net::Dscp::kExpedited); });
-  sampler.addProbe(prefix + "qdisc.ll_bytes", [core] {
+  sampler.addProbe("qdisc.ef_bytes", [core] {
+    return classBytes(core, net::Dscp::kExpedited);
+  });
+  sampler.addProbe("qdisc.ll_bytes", [core] {
     return classBytes(core, net::Dscp::kLowLatency);
   });
-  sampler.addProbe(prefix + "qdisc.be_bytes", [core] {
+  sampler.addProbe("qdisc.be_bytes", [core] {
     return classBytes(core, net::Dscp::kBestEffort);
   });
-  sampler.addHistogramProbe(
-      prefix + "qdisc.ef_occupancy_bytes",
-      [core] { return classBytes(core, net::Dscp::kExpedited); });
-  sampler.addHistogramProbe(
-      prefix + "qdisc.be_occupancy_bytes",
-      [core] { return classBytes(core, net::Dscp::kBestEffort); });
+  sampler.addHistogramProbe("qdisc.ef_occupancy_bytes", [core] {
+    return classBytes(core, net::Dscp::kExpedited);
+  });
+  sampler.addHistogramProbe("qdisc.be_occupancy_bytes", [core] {
+    return classBytes(core, net::Dscp::kBestEffort);
+  });
 
   const auto* edge = rig.garnet.ingressEdgeInterface();
-  sampler.addProbe(prefix + "net.policed_drops", [edge] {
+  sampler.addProbe("net.policed_drops", [edge] {
     return static_cast<double>(edge->stats().drops_policed);
   });
 }
 
-void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
-                         const std::string& prefix) {
+void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics) {
   const auto add = [&](const std::string& name, std::uint64_t value) {
-    metrics.counter(prefix + name).inc(value);
+    metrics.counter(name).inc(value);
   };
 
   const auto* core = rig.garnet.coreBottleneckInterface();
@@ -73,7 +68,6 @@ void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
   add("net.edge.drops_overflow", edge->stats().drops_overflow);
   add("net.edge.rx_packets", edge->stats().rx_packets);
   const auto& policy = edge->ingressPolicy().stats();
-  add("net.policy.classified", policy.classified);
   add("net.policy.marked", policy.marked);
   add("net.policy.policed_drops", policy.policed_drops);
   add("net.policy.demoted", policy.demoted);
@@ -96,16 +90,10 @@ void snapshotRigCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
     add("tcp.flow01.fast_retransmits", ts.fast_retransmits);
     add("tcp.flow01.timeouts", ts.timeouts);
   }
-}
 
-void snapshotAdversarialCounters(GarnetRig& rig, obs::MetricsRegistry& metrics,
-                                 const std::string& prefix) {
-  const auto add = [&](const std::string& name, std::uint64_t value) {
-    metrics.counter(prefix + name).inc(value);
-  };
   // The adversarial injectors sit on the premium egress wire: the
   // interface feeding the ingress edge router.
-  const auto& ws = rig.garnet.ingressEdgeInterface()->peer()->stats();
+  const auto& ws = edge->peer()->stats();
   add("net.wire.corrupted", ws.corrupted);
   add("net.wire.duplicated", ws.duplicated);
   add("net.wire.reordered", ws.reordered);

@@ -45,7 +45,6 @@ std::optional<Packet> DsPolicy::applyRule(std::size_t index, Packet p) {
 }
 
 std::optional<Packet> DsPolicy::process(Packet p) {
-  ++stats_.classified;
   // No rules (hosts without marking, interior routers): nothing to match
   // and nothing worth caching.
   if (rules_.empty()) return p;

@@ -59,7 +59,6 @@ struct MarkingRule {
 };
 
 struct DsPolicyStats {
-  std::uint64_t classified = 0;
   std::uint64_t marked = 0;
   std::uint64_t policed_drops = 0;
   std::uint64_t demoted = 0;
@@ -88,10 +87,8 @@ class DsPolicy {
   std::optional<Packet> process(Packet p);
 
   /// Fast-path support: callers on the forwarding hot path skip process()
-  /// (and its two Packet moves) for rule-less policies, recording the
-  /// classification with countBypass() so exported stats are unchanged.
+  /// (and its two Packet moves) for rule-less policies.
   bool hasRules() const { return !rules_.empty(); }
-  void countBypass() { ++stats_.classified; }
 
   const DsPolicyStats& stats() const { return stats_; }
   std::size_t ruleCount() const { return rules_.size(); }

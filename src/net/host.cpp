@@ -15,8 +15,6 @@ void Host::sendPacket(Packet p) {
     auto processed = egress_policy_.process(std::move(p));
     if (!processed) return;  // policed at the host edge
     p = std::move(*processed);
-  } else {
-    egress_policy_.countBypass();
   }
   ++stats_.sent_packets;
   if (p.flow.dst == id_) {

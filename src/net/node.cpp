@@ -165,7 +165,6 @@ void Interface::receive(Packet p) {
   ++stats_.rx_packets;
   stats_.rx_bytes += p.size_bytes;
   if (!ingress_policy_.hasRules()) {
-    ingress_policy_.countBypass();
     owner_.deliver(std::move(p), *this);
     return;
   }

@@ -63,13 +63,13 @@ bool exportMultiRunBenchJson(const std::string& bench_name,
                              const std::vector<RunExport>& runs,
                              const std::string& directory = ".");
 
-/// writeMultiRunJson rendered to a string — for tests and golden guards
-/// that hash or diff the document instead of writing a file.
+/// writeMultiRunJson rendered to a string — for tests that compare the
+/// document instead of writing a file.
 std::string renderMultiRunJson(const std::string& bench_name,
                                const std::vector<RunExport>& runs);
 
-/// FNV-1a 64-bit hash. Used by the golden-determinism guard to pin BENCH
-/// documents with a short checked-in fingerprint instead of full files.
+/// FNV-1a 64-bit hash: a short checked-in fingerprint of a run's outcome
+/// text (the golden catalog's and qosbench's digests).
 std::uint64_t fnv1a64(std::string_view data);
 
 void writeTimelinesCsv(std::ostream& os, const MetricsRegistry& metrics);

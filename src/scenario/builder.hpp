@@ -78,8 +78,7 @@ struct BuiltScenario {
   bool hasResilience() const { return resil.journal != nullptr; }
 
   // Adaptive QoS control plane (AdaptiveTenantsWorkload + AdaptationSpec,
-  // DESIGN.md §15). Null for every other workload, so legacy scenarios
-  // build byte-identically.
+  // DESIGN.md §15). Null for every other workload.
   struct AdaptiveTenantRun {
     TenantSpec spec;
     std::unique_ptr<tcp::TcpListener> listener;

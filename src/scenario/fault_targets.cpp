@@ -14,16 +14,6 @@ bool namesTarget(const std::vector<sim::FaultEvent>& plan,
   });
 }
 
-bool namesPremiumWireTarget(const std::vector<sim::FaultEvent>& plan) {
-  using namespace fault_target;
-  for (const char* wire : {kPremiumEdgeLoss, kPremiumEdgeCorrupt,
-                           kPremiumEdgeDup, kPremiumEdgeReorder,
-                           kPremiumEdgePartition}) {
-    if (namesTarget(plan, wire)) return true;
-  }
-  return false;
-}
-
 FaultTargets::FaultTargets(BuiltScenario& built, std::uint64_t seed)
     : built_(built), seed_(seed), injector_(built.rig.sim, seed) {}
 

@@ -82,10 +82,6 @@ inline sim::FaultEvent faultAt(double at_seconds, std::string target,
 bool namesTarget(const std::vector<sim::FaultEvent>& plan,
                  const std::string& target);
 
-/// True when `plan` addresses a target on the premium source's egress
-/// wire (loss, corruption, duplication, reorder, partition).
-bool namesPremiumWireTarget(const std::vector<sim::FaultEvent>& plan);
-
 /// Owns the fault injector and the machinery behind each target; lives in
 /// BuiltScenario (declared after the rig, so it is torn down first).
 class FaultTargets {

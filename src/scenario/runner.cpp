@@ -81,13 +81,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
 
   if (built->sampler != nullptr) {
     built->sampler->stop();
-    apps::snapshotRigCounters(rig, *built->metrics, /*prefix=*/{});
-    // Wire/pool gauges ride only on plans that fault the premium wire, so
-    // every other scenario's BENCH export (and its golden hash) stays
-    // byte-identical.
-    if (namesPremiumWireTarget(spec.faults)) {
-      apps::snapshotAdversarialCounters(rig, *built->metrics, /*prefix=*/{});
-    }
+    apps::snapshotRigCounters(rig, *built->metrics);
   }
 
   ScenarioResult result;

@@ -90,8 +90,9 @@ struct ScenarioResult {
   std::uint64_t adapt_clamped = 0;
 
   /// Simulator::eventsExecuted() at the end of the run. A pure function
-  /// of the spec — the golden-determinism guard pins it per scenario to
-  /// catch silent event reordering in the kernel.
+  /// of the spec — the golden-determinism guard pins it per scenario,
+  /// beside a digest of the other outcome fields, to catch silent event
+  /// reordering in the kernel.
   std::uint64_t events_executed = 0;
 
   std::vector<CheckResult> checks;

@@ -165,7 +165,7 @@ struct ContentionSpec {
 
 /// Arms the QosController over an AdaptiveTenantsWorkload's path
 /// reservations. Disabled (the default) builds the identical static rig,
-/// and non-adaptive workloads ignore it entirely — golden-catalog safe.
+/// and non-adaptive workloads ignore it entirely.
 struct AdaptationSpec {
   bool enabled = false;
   double cadence_seconds = 0.5;

@@ -73,6 +73,11 @@ TEST(ScenarioRunner, PopulatesResultAndEvaluatesChecks) {
   EXPECT_GT(result.goodput_kbps, 0.0);
   EXPECT_FALSE(result.series.empty());
   ASSERT_NE(result.metrics, nullptr);
+  // One snapshot path: an unfaulted run exports the wire and pool counters
+  // too.
+  const auto& counters = result.metrics->counters();
+  EXPECT_EQ(counters.count("net.wire.corrupted"), 1u);
+  EXPECT_EQ(counters.count("pool.high_water_bytes"), 1u);
 
   ASSERT_EQ(result.checks.size(), 2u);
   EXPECT_TRUE(result.checks[0].ok);
