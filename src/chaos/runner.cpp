@@ -5,11 +5,11 @@
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "net/buffer.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/sweep.hpp"
 
 namespace mgq::chaos {
 namespace {
@@ -152,43 +152,31 @@ ChaosOutcome ChaosRunner::runSeeds(const std::string& scenario,
   const double horizon = resolveHorizon(scenario, options);
   const ChaosPlanGenerator generator(options.profile);
 
-  int threads = options.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  if (threads > count) threads = count;
+  // Seeds run on the sweep pool, claimed in increasing order. A worker
+  // skips any seed above the lowest failure found so far; every seed below
+  // it still runs, so the kept reports (seed order, up to and including
+  // the first failing seed) do not depend on thread count or scheduling.
+  std::vector<ChaosRunReport> reports(static_cast<std::size_t>(count));
+  std::atomic<int> first_failure{count};
+  scenario::SweepRunner(options.threads)
+      .forEach(reports.size(), [&](std::size_t index) {
+        const int i = static_cast<int>(index);
+        if (i > first_failure.load()) return;
+        const auto plan = generator.generate(
+            scenario, first_seed + static_cast<std::uint64_t>(i), horizon);
+        reports[index] = runPlan(plan, options);
+        if (reports[index].ok()) return;
+        int lowest = first_failure.load();
+        while (i < lowest && !first_failure.compare_exchange_weak(lowest, i)) {
+        }
+      });
 
-  // Seed batches: each batch runs `threads` seeds concurrently (one
-  // Simulator per run), then the results are scanned in seed order so the
-  // first failing seed is independent of thread scheduling.
-  for (int batch_start = 0; batch_start < count; batch_start += threads) {
-    const int batch = std::min(threads, count - batch_start);
-    std::vector<ChaosRunReport> reports(batch);
-    std::atomic<int> next{0};
-    auto worker = [&] {
-      for (int i = next.fetch_add(1); i < batch; i = next.fetch_add(1)) {
-        const auto seed =
-            first_seed + static_cast<std::uint64_t>(batch_start + i);
-        const auto plan = generator.generate(scenario, seed, horizon);
-        reports[i] = runPlan(plan, options);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(batch);
-    for (int i = 0; i < batch; ++i) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-
-    for (auto& report : reports) {
-      const bool failed = !report.ok();
-      outcome.reports.push_back(std::move(report));
-      if (failed) {
-        outcome.failing_index =
-            static_cast<int>(outcome.reports.size()) - 1;
-        return outcome;
-      }
-    }
+  const int failing = first_failure.load();
+  if (failing < count) {
+    reports.resize(static_cast<std::size_t>(failing) + 1);
+    outcome.failing_index = failing;
   }
+  outcome.reports = std::move(reports);
   return outcome;
 }
 

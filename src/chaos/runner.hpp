@@ -40,13 +40,14 @@ struct ChaosOptions {
   double cadence_seconds = 0.25;
   std::size_t max_violations = 16;
   std::size_t trace_tail = 8;
-  /// Seed-sweep worker threads; <= 0 uses hardware concurrency. Each run
-  /// owns its Simulator, so results are identical to serial execution.
+  /// runSeeds' scenario::SweepRunner threads; <= 0 uses hardware
+  /// concurrency. Each run owns its Simulator, so results are identical
+  /// to serial execution.
   int threads = 0;
   /// When > 0, runPlan caps the run's thread-local BufferPool at this
   /// many live bytes for the duration of the run (restored afterwards),
   /// exercising the pool-pressure degradation paths and arming the
-  /// pool-ceiling invariant. Safe under runSeeds' thread pool: each run
+  /// pool-ceiling invariant. Safe under runSeeds' sweep pool: each run
   /// executes wholly on one worker thread, so the ceiling it sets is the
   /// one its simulation sees.
   std::int64_t pool_ceiling_bytes = 0;
@@ -93,8 +94,10 @@ class ChaosRunner {
   ChaosRunReport runPlan(const ChaosPlan& plan,
                          const ChaosOptions& options = {}) const;
 
-  /// Generates and runs plans for seeds [first_seed, first_seed + count),
-  /// stopping at the first invariant violation.
+  /// Generates and runs plans for seeds [first_seed, first_seed + count)
+  /// across the sweep pool, stopping at the first invariant violation.
+  /// The reports are in seed order, up to and including the first failing
+  /// seed, whatever the thread count.
   ChaosOutcome runSeeds(const std::string& scenario, std::uint64_t first_seed,
                         int count, const ChaosOptions& options = {}) const;
 

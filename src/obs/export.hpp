@@ -1,6 +1,7 @@
-// Exporters for the metrics registry and trace buffer.
+// The JSON exporter for metrics registries and trace buffers: one writer,
+// for one run or many.
 //
-// JSON document shape (one per bench run, file BENCH_<name>.json):
+// Document shape (file BENCH_<name>.json):
 //   {
 //     "bench": "<name>",
 //     "counters":   {"<metric>": <uint>, ...},
@@ -16,12 +17,8 @@
 //   }
 // Non-finite doubles (NaN/inf) are emitted as null — strict JSON has no
 // NaN literal. Keys are sorted (std::map iteration), so two identical
-// runs produce byte-identical files.
-//
-// The CSV exporter flattens every timeline to rows of
-//   series,t_seconds,value
-// for spreadsheet/gnuplot consumption. Both writers are hand-rolled:
-// the container has no JSON dependency and must not gain one.
+// runs produce byte-identical files. The writer is hand-rolled: the
+// project has no JSON dependency and must not gain one.
 #pragma once
 
 #include <cstdint>
@@ -35,20 +32,17 @@
 
 namespace mgq::obs {
 
-void writeJson(std::ostream& os, const std::string& bench_name,
-               const MetricsRegistry& metrics,
-               const TraceBuffer* trace = nullptr);
-
-/// One run's contribution to a merged multi-run document. The registries
-/// must outlive the write call.
+/// One run's contribution to a document. The registries must outlive the
+/// write call. A single run exports with an empty label:
+/// RunExport{"", &metrics, &trace} leaves keys and scopes unprefixed.
 struct RunExport {
   std::string label;
   const MetricsRegistry* metrics = nullptr;
   const TraceBuffer* trace = nullptr;
 };
 
-/// Merged multi-run document in the writeJson shape: every metric key is
-/// prefixed "<label>.", trace events carry "<label>" (or
+/// Merged multi-run document: every metric key is prefixed "<label>."
+/// (none for an empty label), trace events carry "<label>" (or
 /// "<label>/<scope>") as their scope, and runs are emitted in the given
 /// order with all metric sections globally key-sorted. Output depends
 /// only on (bench_name, runs) — a parallel sweep that fills `runs` in
@@ -71,14 +65,5 @@ std::string renderMultiRunJson(const std::string& bench_name,
 /// FNV-1a 64-bit hash: a short checked-in fingerprint of a run's outcome
 /// text (the golden catalog's and qosbench's digests).
 std::uint64_t fnv1a64(std::string_view data);
-
-void writeTimelinesCsv(std::ostream& os, const MetricsRegistry& metrics);
-
-/// Writes `<directory>/BENCH_<bench_name>.json`; returns false (leaving a
-/// message on stderr) when the file cannot be created.
-bool exportBenchJson(const std::string& bench_name,
-                     const MetricsRegistry& metrics,
-                     const TraceBuffer* trace = nullptr,
-                     const std::string& directory = ".");
 
 }  // namespace mgq::obs

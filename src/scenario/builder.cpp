@@ -157,14 +157,8 @@ Task<> adaptiveTenantClient(BuiltScenario& b,
     adapt::QosController::TenantConfig tc;
     tc.name = t.spec.name;
     tc.policy.headroom = aspec.headroom;
-    tc.policy.grow_threshold = aspec.grow_threshold;
-    tc.policy.shrink_threshold = aspec.shrink_threshold;
-    tc.policy.grow_multiplier = aspec.grow_multiplier;
-    tc.policy.shrink_step = aspec.shrink_step;
     tc.policy.floor_bps = t.spec.floor_kbps * 1000.0;
     tc.policy.ceiling_bps = t.spec.ceiling_kbps * 1000.0;
-    tc.policy.grow_cooldown_seconds = aspec.grow_cooldown_seconds;
-    tc.policy.shrink_cooldown_seconds = aspec.shrink_cooldown_seconds;
     // Offered demand is the schedule's intent (a pure function of time),
     // not the sender's progress: a sender throttled by an undersized
     // reservation still shows the demand the controller should chase.
@@ -209,7 +203,6 @@ void wireAdaptiveTenants(BuiltScenario& b, const ScenarioSpec& spec,
   if (spec.adaptation.enabled) {
     adapt::QosController::Config cc;
     cc.cadence_seconds = spec.adaptation.cadence_seconds;
-    cc.ewma_alpha = spec.adaptation.ewma_alpha;
     ad.controller = std::make_unique<adapt::QosController>(
         rig.sim, *ad.broker, *ad.arbiter, cc);
     ad.controller->attachObservability(b.metrics.get(), b.trace.get());
@@ -356,8 +349,6 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
       resil::LeaseManager::Config lc;
       lc.default_duration =
           Duration::seconds(spec.resil.lease.duration_seconds);
-      lc.renew_fraction = spec.resil.lease.renew_fraction;
-      lc.grace = Duration::seconds(spec.resil.lease.grace_seconds);
       resil.leases = std::make_unique<resil::LeaseManager>(rig.sim,
                                                            rig.gara, lc);
       resil.leases->attachObservability(built->metrics.get(),
@@ -366,11 +357,7 @@ std::unique_ptr<BuiltScenario> ScenarioBuilder::build(
           Duration::seconds(spec.resil.lease.duration_seconds));
     }
     if (spec.resil.heartbeats) {
-      resil::HeartbeatMonitor::Config hc;
-      hc.interval = Duration::seconds(spec.resil.heartbeat_interval_seconds);
-      hc.phi_threshold = spec.resil.phi_threshold;
-      resil.heartbeats =
-          std::make_unique<resil::HeartbeatMonitor>(rig.sim, hc);
+      resil.heartbeats = std::make_unique<resil::HeartbeatMonitor>(rig.sim);
       resil.heartbeats->attachObservability(built->metrics.get(),
                                             built->trace.get());
       resil::attachManagerHeartbeats(*resil.heartbeats, rig.gara);

@@ -299,6 +299,25 @@ ScenarioSpec pingLatencySpec(const std::string& name, bool low_latency) {
   return spec;
 }
 
+namespace {
+
+/// The agent recovery policy both fault-recovery scenarios arm: six
+/// backed-off retries (250 ms doubling to 2 s, 10% jitter), then degrade
+/// to best effort and re-escalate every 2 s.
+gq::QosAgent::RecoveryPolicy recoveryPolicy() {
+  gq::QosAgent::RecoveryPolicy p;
+  p.max_retries = 6;
+  p.initial_backoff = sim::Duration::millis(250);
+  p.backoff_multiplier = 2.0;
+  p.max_backoff = sim::Duration::seconds(2.0);
+  p.jitter = 0.1;
+  p.degrade_to_best_effort = true;
+  p.reescalate_interval = sim::Duration::seconds(2.0);
+  return p;
+}
+
+}  // namespace
+
 ScenarioSpec faultRecoverySpec(const std::string& name, bool recovery_on) {
   ScenarioSpec spec;
   spec.name = name;
@@ -307,15 +326,7 @@ ScenarioSpec faultRecoverySpec(const std::string& name, bool recovery_on) {
                (recovery_on ? "on" : "off");
   spec.paper_ref = "GARA monitoring/state-change callbacks (§4.2); "
                    "reservation preemption treated as the common case";
-  if (recovery_on) {
-    spec.rig.recovery.max_retries = 6;
-    spec.rig.recovery.initial_backoff = sim::Duration::millis(250);
-    spec.rig.recovery.backoff_multiplier = 2.0;
-    spec.rig.recovery.max_backoff = sim::Duration::seconds(2.0);
-    spec.rig.recovery.jitter = 0.1;
-    spec.rig.recovery.degrade_to_best_effort = true;
-    spec.rig.recovery.reescalate_interval = sim::Duration::seconds(2.0);
-  }
+  if (recovery_on) spec.rig.recovery = recoveryPolicy();
   VisualizationWorkload w;
   w.frames_per_second = 100.0;
   w.frame_bytes = 37'500;  // 100 fps x 37.5 KB = 30 Mb/s
@@ -369,13 +380,7 @@ ScenarioSpec crashRecoverySpec(const std::string& name) {
                "and reconciliation re-converge to granted QoS";
   spec.paper_ref = "GARA persistent slot table / restartable gatekeeper "
                    "(§3.1, §4.2), extended with leases and anti-entropy";
-  spec.rig.recovery.max_retries = 6;
-  spec.rig.recovery.initial_backoff = sim::Duration::millis(250);
-  spec.rig.recovery.backoff_multiplier = 2.0;
-  spec.rig.recovery.max_backoff = sim::Duration::seconds(2.0);
-  spec.rig.recovery.jitter = 0.1;
-  spec.rig.recovery.degrade_to_best_effort = true;
-  spec.rig.recovery.reescalate_interval = sim::Duration::seconds(2.0);
+  spec.rig.recovery = recoveryPolicy();
   VisualizationWorkload w;
   w.frames_per_second = 100.0;
   w.frame_bytes = 37'500;  // 100 fps x 37.5 KB = 30 Mb/s

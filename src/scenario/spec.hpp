@@ -165,18 +165,13 @@ struct ContentionSpec {
 
 /// Arms the QosController over an AdaptiveTenantsWorkload's path
 /// reservations. Disabled (the default) builds the identical static rig,
-/// and non-adaptive workloads ignore it entirely.
+/// and non-adaptive workloads ignore it entirely. Every knob not named
+/// here keeps its default in adapt::QosController::Config or
+/// adapt::AdaptationPolicy::Config.
 struct AdaptationSpec {
   bool enabled = false;
   double cadence_seconds = 0.5;
   double headroom = 1.25;
-  double ewma_alpha = 0.4;
-  double grow_threshold = 1.05;
-  double shrink_threshold = 0.70;
-  double grow_multiplier = 1.6;
-  double shrink_step = 0.5;
-  double grow_cooldown_seconds = 1.0;
-  double shrink_cooldown_seconds = 2.0;
 };
 
 // --------------------------------------------------------------------------
@@ -186,12 +181,11 @@ struct AdaptationSpec {
 /// Reservation leases: agent-made reservations must be renewed within the
 /// lease window or enforcement hard-expires (reason "lease_expired") —
 /// what lets the data plane shed zombie reservations when their
-/// controller dies.
+/// controller dies. Renewal cadence and grace keep their
+/// resil::LeaseManager::Config defaults.
 struct LeaseSpec {
   bool enabled = false;
   double duration_seconds = 2.0;
-  double renew_fraction = 0.5;
-  double grace_seconds = 0.25;
 };
 
 struct ResilienceSpec {
@@ -200,10 +194,9 @@ struct ResilienceSpec {
   bool journal = false;
   LeaseSpec lease;
   /// Heartbeat probing of every registered manager, with phi-accrual
-  /// suspicion driving manager-down events into the RecoveryPolicy.
+  /// suspicion driving manager-down events into the RecoveryPolicy, at
+  /// the resil::HeartbeatMonitor::Config interval and threshold.
   bool heartbeats = false;
-  double heartbeat_interval_seconds = 0.25;
-  double phi_threshold = 2.0;
 
   bool enabled() const {
     return journal || lease.enabled || heartbeats;

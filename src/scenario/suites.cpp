@@ -407,23 +407,14 @@ Results table1(CheckReporter& checks, std::ostream& out, int threads) {
     cells.push_back({d, 1.0, 4.0});
   }
 
-  // The twelve bisections advance in lock-step: each round runs one probe
-  // for every cell still searching, across the sweep pool.
-  const SweepRunner pool(threads);
-  for (;;) {
-    std::vector<Bisection*> live;
-    std::vector<ScenarioSpec> probes;
-    for (auto& cell : cells) {
-      if (cell.done) continue;
-      live.push_back(&cell);
-      probes.push_back(cell.probeSpec());
-    }
-    if (live.empty()) break;
-    const auto results = pool.run(probes);
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      live[i]->record(results[i].goodput_kbps);
-    }
-  }
+  // Each cell's whole bisection chain is one pool task with its own
+  // runner: a probe depends only on its own cell's earlier probes, so the
+  // chains share no state and no chain waits for another's probes.
+  SweepRunner(threads).forEach(cells.size(), [&](std::size_t i) {
+    auto& cell = cells[i];
+    ScenarioRunner runner;
+    while (!cell.done) cell.record(runner.run(cell.probeSpec()).goodput_kbps);
+  });
 
   util::Table table({"desired_kbps", "normal_10fps", "normal_1fps",
                      "large_1fps"});

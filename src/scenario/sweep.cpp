@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -37,30 +39,43 @@ SweepRunner::SweepRunner(int threads) : threads_(threads) {
   }
 }
 
+void SweepRunner::forEach(std::size_t count,
+                          const std::function<void(std::size_t)>& fn) const {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+        next.store(count);  // stop claiming; running calls finish
+      }
+    }
+  };
+  const auto n = std::min<std::size_t>(static_cast<std::size_t>(threads_),
+                                       count);
+  if (n <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(n);
+    for (std::size_t t = 0; t < n; ++t) pool.emplace_back(worker);
+    for (auto& t : pool) t.join();
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 std::vector<ScenarioResult> SweepRunner::run(
     const std::vector<ScenarioSpec>& specs) const {
   std::vector<ScenarioResult> results(specs.size());
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    // No echo stream: concurrent workers must not interleave output.
-    // Verdicts travel back inside each ScenarioResult.
-    ScenarioRunner runner;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= specs.size()) return;
-      results[i] = runner.run(specs[i]);
-    }
-  };
-  const int n =
-      std::max(1, std::min<int>(threads_, static_cast<int>(specs.size())));
-  if (n == 1) {
-    worker();
-    return results;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(n);
-  for (int t = 0; t < n; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
+  // No echo stream: concurrent workers must not interleave output.
+  // Verdicts travel back inside each ScenarioResult.
+  forEach(specs.size(), [&](std::size_t i) {
+    results[i] = ScenarioRunner().run(specs[i]);
+  });
   return results;
 }
 

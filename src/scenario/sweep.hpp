@@ -1,9 +1,12 @@
 // Parameter sweeps: cross-product expansion of a base spec over named
-// parameters, and a std::thread pool that runs many specs concurrently —
-// one independent Simulator per run, so results are bit-identical to
-// serial execution regardless of thread count.
+// parameters, and the one thread pool in src/, which runs every batch of
+// independent runs (sweeps, paper suites, chaos seed ranges) — one
+// independent Simulator per run, so results are bit-identical to serial
+// execution regardless of thread count.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,15 @@ class SweepRunner {
  public:
   /// threads <= 0: hardware concurrency.
   explicit SweepRunner(int threads = 0);
+
+  /// Calls fn(i) once for every i in [0, count) across the pool. Workers
+  /// claim indices in increasing order, one at a time, so there is no
+  /// barrier: a slow index holds up only its own worker. With one worker
+  /// (or count <= 1) everything runs on the calling thread. The first
+  /// exception a call throws stops further claims and is rethrown here
+  /// once every worker has finished.
+  void forEach(std::size_t count,
+               const std::function<void(std::size_t)>& fn) const;
 
   /// Runs every spec (each on its own Simulator) across the pool and
   /// returns results in spec order — the output is independent of thread

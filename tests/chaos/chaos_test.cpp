@@ -33,6 +33,21 @@ ChaosProfile modifyOnlyProfile() {
   return profile;
 }
 
+/// Modify storms over sabotaged admission control: the fault proxies'
+/// slot tables accept anything while still reporting truthful usage, so
+/// a storm over-admits past the premium capacity, which only the
+/// slot-conservation invariant can notice.
+ChaosOptions plantedOverAdmissionOptions() {
+  ChaosOptions options;
+  options.profile = modifyOnlyProfile();
+  options.horizon_seconds = 3.0;
+  options.prepare = [](scenario::BuiltScenario&, ChaosTargets& targets) {
+    targets.net_forward->slots().forceOverAdmissionForTest(true);
+    targets.net_reverse->slots().forceOverAdmissionForTest(true);
+  };
+  return options;
+}
+
 TEST(ChaosRunnerTest, SameSeedProducesByteIdenticalLogAndReplay) {
   ChaosOptions options;
   options.horizon_seconds = 3.0;
@@ -82,18 +97,7 @@ TEST(ChaosRunnerTest, UnhandledChurnActionsCountAsSkippedInTheLogFooter) {
 }
 
 TEST(ChaosRunnerTest, PlantedOverAdmissionIsCaughtShrunkAndReplayed) {
-  // Sabotage admission control: the fault proxies' slot tables accept
-  // anything while still reporting truthful usage. A modify storm then
-  // over-admits past the premium capacity, which only the
-  // slot-conservation invariant can notice.
-  ChaosOptions options;
-  options.profile = modifyOnlyProfile();
-  options.horizon_seconds = 3.0;
-  options.prepare = [](scenario::BuiltScenario&, ChaosTargets& targets) {
-    targets.net_forward->slots().forceOverAdmissionForTest(true);
-    targets.net_reverse->slots().forceOverAdmissionForTest(true);
-  };
-
+  const auto options = plantedOverAdmissionOptions();
   ChaosRunner runner;
   const auto outcome = runner.runSeeds("fault_recovery_on", 1, 200, options);
   ASSERT_FALSE(outcome.ok())
@@ -135,6 +139,42 @@ TEST(ChaosRunnerTest, UnsabotagedRunNeverTripsSlotConservation) {
   EXPECT_TRUE(outcome.ok())
       << (outcome.failure() != nullptr ? outcome.failure()->log
                                        : std::string{});
+}
+
+TEST(ChaosRunnerTest, SeedSweepIsIndependentOfThreadCount) {
+  // runSeeds keeps every report up to and including the first failing
+  // seed, in seed order, however the pool interleaves the seeds.
+  auto sweep = [](const ChaosOptions& base, int threads, int seeds) {
+    ChaosOptions options = base;
+    options.threads = threads;
+    return ChaosRunner().runSeeds("fault_recovery_on", 1, seeds, options);
+  };
+  auto expectSameReports = [](const ChaosOutcome& a, const ChaosOutcome& b) {
+    EXPECT_EQ(a.failing_index, b.failing_index);
+    ASSERT_EQ(a.reports.size(), b.reports.size());
+    for (std::size_t i = 0; i < a.reports.size(); ++i) {
+      EXPECT_EQ(a.reports[i].plan.seed, b.reports[i].plan.seed);
+      EXPECT_EQ(a.reports[i].log, b.reports[i].log) << "report " << i;
+    }
+  };
+
+  // Rarer storms, so clean seeds precede the first failure (seed 6) and
+  // the threaded sweep must still run them while dropping later seeds.
+  auto planted = plantedOverAdmissionOptions();
+  planted.profile.reservation_modifies_per_100s = 5.0;
+  const auto serial = sweep(planted, 1, 200);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_GT(serial.failing_index, 0);
+  EXPECT_EQ(serial.reports.size(),
+            static_cast<std::size_t>(serial.failing_index) + 1);
+  expectSameReports(serial, sweep(planted, 3, 200));
+
+  ChaosOptions clean;
+  clean.horizon_seconds = 3.0;
+  const auto clean_serial = sweep(clean, 1, 8);
+  ASSERT_TRUE(clean_serial.ok());
+  EXPECT_EQ(clean_serial.reports.size(), 8u);
+  expectSameReports(clean_serial, sweep(clean, 3, 8));
 }
 
 // --- scripted fault plans ------------------------------------------------

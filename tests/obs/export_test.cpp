@@ -23,7 +23,7 @@ TEST(JsonExportTest, EmitsAllSections) {
   trace.record("reservation", "admitted", 7, 40e6, "net-forward");
 
   std::ostringstream os;
-  writeJson(os, "demo", metrics, &trace);
+  writeMultiRunJson(os, "demo", {RunExport{"", &metrics, &trace}});
   const std::string json = os.str();
 
   EXPECT_NE(json.find("\"bench\": \"demo\""), std::string::npos);
@@ -40,7 +40,7 @@ TEST(JsonExportTest, NonFiniteValuesBecomeNull) {
   metrics.gauge("bad").set(std::numeric_limits<double>::quiet_NaN());
   metrics.gauge("worse").set(std::numeric_limits<double>::infinity());
   std::ostringstream os;
-  writeJson(os, "nan", metrics);
+  writeMultiRunJson(os, "nan", {RunExport{"", &metrics, nullptr}});
   const std::string json = os.str();
   EXPECT_NE(json.find("\"bad\": null"), std::string::npos);
   EXPECT_NE(json.find("\"worse\": null"), std::string::npos);
@@ -53,7 +53,7 @@ TEST(JsonExportTest, EscapesStringsInTraceEvents) {
   TraceBuffer trace;
   trace.record("c", "e", 0, 0.0, "line1\n\"quoted\"\\path");
   std::ostringstream os;
-  writeJson(os, "esc", metrics, &trace);
+  writeMultiRunJson(os, "esc", {RunExport{"", &metrics, &trace}});
   const std::string json = os.str();
   EXPECT_NE(json.find("line1\\n\\\"quoted\\\"\\\\path"), std::string::npos);
 }
@@ -66,7 +66,7 @@ TEST(JsonExportTest, DeterministicAcrossIdenticalRuns) {
     metrics.counter("alpha").inc(2);
     metrics.timeline("t").append(0.5, 1.25);
     std::ostringstream os;
-    writeJson(os, "det", metrics);
+    writeMultiRunJson(os, "det", {RunExport{"", &metrics, nullptr}});
     return os.str();
   };
   const std::string a = render();
@@ -78,30 +78,17 @@ TEST(JsonExportTest, DeterministicAcrossIdenticalRuns) {
 TEST(JsonExportTest, EmptyTraceSectionWithoutBuffer) {
   MetricsRegistry metrics;
   std::ostringstream os;
-  writeJson(os, "notrace", metrics, nullptr);
+  writeMultiRunJson(os, "notrace", {RunExport{"", &metrics, nullptr}});
   EXPECT_NE(os.str().find("\"trace\": {\"dropped\": 0, \"events\": []}"),
             std::string::npos);
-}
-
-TEST(CsvExportTest, FlattensTimelines) {
-  MetricsRegistry metrics;
-  metrics.timeline("a").append(1.0, 10.0);
-  metrics.timeline("a").append(2.0, 20.0);
-  metrics.timeline("b").append(1.0, 5.0);
-  std::ostringstream os;
-  writeTimelinesCsv(os, metrics);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("series,t_seconds,value"), std::string::npos);
-  EXPECT_NE(csv.find("a,1,10"), std::string::npos);
-  EXPECT_NE(csv.find("a,2,20"), std::string::npos);
-  EXPECT_NE(csv.find("b,1,5"), std::string::npos);
 }
 
 TEST(ExportBenchJsonTest, WritesFileToDirectory) {
   MetricsRegistry metrics;
   metrics.counter("c").inc(1);
   const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(exportBenchJson("file_demo", metrics, nullptr, dir));
+  ASSERT_TRUE(exportMultiRunBenchJson("file_demo",
+                                      {RunExport{"", &metrics, nullptr}}, dir));
   const std::string path = dir + "/BENCH_file_demo.json";
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -114,8 +101,8 @@ TEST(ExportBenchJsonTest, WritesFileToDirectory) {
 
 TEST(ExportBenchJsonTest, FailsGracefullyOnBadDirectory) {
   MetricsRegistry metrics;
-  EXPECT_FALSE(exportBenchJson("nope", metrics, nullptr,
-                               "/nonexistent-dir-for-obs-test"));
+  EXPECT_FALSE(exportMultiRunBenchJson("nope", {RunExport{"", &metrics, nullptr}},
+                                       "/nonexistent-dir-for-obs-test"));
 }
 
 }  // namespace

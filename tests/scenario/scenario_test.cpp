@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -153,6 +154,27 @@ TEST(Sweep, SecondsParameterMovesTheFig1StopTime) {
   ASSERT_FALSE(result.series.empty());
   EXPECT_LE(result.series.back().t_seconds, 10.0);
   EXPECT_GE(result.series.back().t_seconds, 9.0);
+}
+
+TEST(SweepRunner, ForEachVisitsEveryIndexOnce) {
+  for (const int threads : {1, 3}) {
+    std::vector<std::atomic<int>> visits(50);
+    SweepRunner(threads).forEach(visits.size(),
+                                 [&](std::size_t i) { ++visits[i]; });
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "index " << i << ", threads "
+                                     << threads;
+    }
+  }
+  int calls = 0;
+  SweepRunner(3).forEach(0, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  EXPECT_THROW(SweepRunner(3).forEach(
+                   10,
+                   [](std::size_t i) {
+                     if (i == 4) throw std::runtime_error("task 4");
+                   }),
+               std::runtime_error);
 }
 
 TEST(Sweep, ExpandsCrossProductWithLabels) {

@@ -218,7 +218,10 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry metrics;
   perf::recordResults(metrics, mixes, walls);
-  if (!obs::exportBenchJson("perf", metrics, nullptr, json_dir)) return 1;
+  if (!obs::exportMultiRunBenchJson("perf", {obs::RunExport{"", &metrics}},
+                                    json_dir)) {
+    return 1;
+  }
 
   if (!write_baseline.empty()) {
     if (!perf::writeBaseline(mixes, write_baseline)) {
